@@ -325,6 +325,10 @@ def decode_certificate(data: bytes) -> GroupTrustCertificate:
     off = head_len
     for _ in range(count):
         respondent, m_raw, w_raw = _CERT_RESP.unpack_from(data, off)
+        if m_raw > FIXED_POINT_SCALE or w_raw > FIXED_POINT_SCALE:
+            raise RepValOverflow(
+                f"response of {respondent}: maliciousness raw {m_raw}, "
+                f"weight raw {w_raw}, limit {FIXED_POINT_SCALE}")
         off += _CERT_RESP.size
         rtag = data[off:off + TAG_LEN]
         off += TAG_LEN

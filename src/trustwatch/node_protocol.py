@@ -337,6 +337,9 @@ class Node:
         if header.subject != self.node_id or len(payload) != _RESP_PAYLOAD.size + messages.TAG_LEN:
             return []
         w_raw, collect_nonce = _RESP_PAYLOAD.unpack_from(payload, 0)
+        if w_raw > messages.FIXED_POINT_SCALE:
+            self._log(now, "response_rejected", header.sender, f"w={w_raw}")
+            return []
         rtag = payload[_RESP_PAYLOAD.size:]
         state = self.collects.get(collect_nonce)
         if state is None or state.done:

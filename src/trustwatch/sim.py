@@ -10,6 +10,7 @@ breaks time ties by insertion order.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from collections import Counter, deque
@@ -340,6 +341,8 @@ class Simulator:
                 self._new_waypoint(i)
 
         self.adj = np.zeros((n, n), dtype=bool)
+        self._pair_i, self._pair_j = np.triu_indices(n, 1)
+        self._pair_within = np.zeros(len(self._pair_i), dtype=bool)
         self.neighbor_lists: list[list[int]] = [[] for _ in range(n)]
         self.ever_neighbors: dict[int, set[int]] = {nid: set() for nid in self.ids}
         self._recompute_topology(initial=True)
@@ -438,29 +441,83 @@ class Simulator:
             self._new_waypoint(i)
 
     def _recompute_topology(self, initial: bool = False) -> None:
-        diff = self.pos[:, None, :] - self.pos[None, :, :]
-        d2 = (diff ** 2).sum(axis=2)
-        adj = d2 <= self.cfg.tx_range_m ** 2
-        np.fill_diagonal(adj, False)
-        changed = adj != self.adj
-        if initial or changed.any():
-            rows = np.flatnonzero(changed.any(axis=1)) if not initial else range(
-                self.cfg.node_count)
+        """Update the unit-disk graph from the current positions.
+
+        Returns at once if no node moved since the last call. Otherwise
+        squared distances are computed once over the upper triangle of
+        node pairs, and only pairs whose in-range bit flipped touch the
+        neighbor lists, ``ever_neighbors`` and the nodes. ``self.adj`` is
+        replaced by a new array exactly when the edge set changes."""
+        if not initial and np.array_equal(self.pos, self._topo_pos):
+            return
+        self._topo_pos = self.pos.copy()
+        # dx * dx + dy * dy computed in place: the same roundings as a
+        # dense (diff ** 2).sum(axis=2), so the edge set is bit-identical
+        x, y = self.pos[:, 0].copy(), self.pos[:, 1].copy()
+        dx = x.take(self._pair_i)
+        dx -= x.take(self._pair_j)
+        dy = y.take(self._pair_i)
+        dy -= y.take(self._pair_j)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        within = dx <= self.cfg.tx_range_m ** 2
+        flips = np.flatnonzero(within != self._pair_within)
+        self._pair_within = within
+        touched = set(range(self.cfg.node_count)) if initial else set()
+        if len(flips):
+            fi, fj, added = self._pair_i[flips], self._pair_j[flips], within[flips]
+            adj = self.adj.copy()
+            adj[fi, fj] = adj[fj, fi] = added
             self.adj = adj
-            for i in rows:
-                neigh = [int(j) + 1 for j in np.flatnonzero(adj[i])]
-                self.neighbor_lists[i] = neigh
-                self.nodes[i + 1].set_neighbors(neigh)
-            new_edges = np.argwhere(changed & adj)
-            for i, j in new_edges:
-                if i < j:
-                    self.ever_neighbors[int(i) + 1].add(int(j) + 1)
-                    self.ever_neighbors[int(j) + 1].add(int(i) + 1)
+            lists = self.neighbor_lists
+            for i, j, edge in zip(fi.tolist(), fj.tolist(), added.tolist()):
+                a, b = i + 1, j + 1
+                if edge:
+                    bisect.insort(lists[i], b)
+                    bisect.insort(lists[j], a)
+                    self.ever_neighbors[a].add(b)
+                    self.ever_neighbors[b].add(a)
+                else:
+                    lists[i].remove(b)
+                    lists[j].remove(a)
+                touched.add(i)
+                touched.add(j)
+        for i in sorted(touched):
+            self.nodes[i + 1].set_neighbors(self.neighbor_lists[i])
 
     def neighbors_of(self, nid: int) -> list[int]:
         return self.neighbor_lists[nid - 1]
 
     # --- routing ----------------------------------------------------------
+
+    def _bfs(self, root: int, target: int,
+             blocked: set[int] | frozenset[int] = frozenset()) -> list[int]:
+        """Hop labels from ``root``, indexed by node id: -1 unreached, -2
+        blocked. Labels level by level over the neighbor lists and stops as
+        soon as ``target`` is labeled, so every level below the target's
+        is complete."""
+        dist = [-1] * (self.cfg.node_count + 1)
+        for x in blocked:
+            dist[x] = -2
+        dist[root] = 0
+        if root == target:
+            return dist
+        lists = self.neighbor_lists
+        frontier = [root]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v in lists[u - 1]:
+                    if dist[v] == -1:
+                        dist[v] = d
+                        if v == target:
+                            return dist
+                        nxt.append(v)
+            frontier = nxt
+        return dist
 
     def compute_route(self, src: int, dst: int,
                       isolated: set[int]) -> list[int] | None:
@@ -470,26 +527,16 @@ class Simulator:
         self.ledger["msgs_routing"] += self.cfg.node_count
         if src == dst:
             return [src]
-        blocked = {x for x in isolated if x != src and x != dst}
-        dist = {dst: 0}
-        frontier = [dst]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors_of(u):
-                    if v in blocked or v in dist:
-                        continue
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-            frontier = nxt
-        if src not in dist:
+        dist = self._bfs(dst, src, {x for x in isolated if x != src and x != dst})
+        if dist[src] < 0:
             return None
+        # lists are sorted, so the first neighbor one level closer is the
+        # smallest; only levels below dist[src] are read, and those are complete
         route = [src]
         cur = src
         while cur != dst:
-            candidates = [v for v in self.neighbors_of(cur)
-                          if v not in blocked and dist.get(v) == dist[cur] - 1]
-            cur = min(candidates)
+            want = dist[cur] - 1
+            cur = next(v for v in self.neighbor_lists[cur - 1] if dist[v] == want)
             route.append(cur)
         return route
 
@@ -523,22 +570,12 @@ class Simulator:
                 self.ledger["ctrl_bytes"] += len(out.data) * hops
 
     def _hop_distance(self, src: int, dst: int) -> int | None:
-        if self.adj[src - 1, dst - 1]:
+        """Hops on a shortest path from src to dst, or None if there is
+        none. Isolation does not block control frames."""
+        if self.adj[src - 1, dst - 1]:  # most unicasts go to a neighbor
             return 1
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors_of(u):
-                    if v in dist:
-                        continue
-                    dist[v] = dist[u] + 1
-                    if v == dst:
-                        return dist[v]
-                    nxt.append(v)
-            frontier = nxt
-        return None
+        hops = self._bfs(src, dst)[dst]
+        return hops if hops >= 0 else None
 
     def _observe(self, watcher: int, subject: int, outcome: int) -> None:
         self._log("monitor_obs", watcher, subject, str(outcome))

@@ -314,3 +314,20 @@ def test_certificate_truncation_detected(authority):
         decode_certificate(data[:-1])
     with pytest.raises(Truncated):
         decode_certificate(data[:10])
+
+
+@pytest.mark.parametrize("m_raw,w_raw", [(60000, FIXED_POINT_SCALE),
+                                         (0, 65535)])
+def test_certificate_response_over_scale_rejected_at_decode(m_raw, w_raw):
+    # tags are valid: only the range check can stop these values before
+    # group-trust aggregation turns them into an exception
+    rtag = tag(response_sign_bytes(5, 1, m_raw, w_raw, 77), bytes([1]) * 16)
+    unsigned = messages.GroupTrustCertificate(
+        subject=5, issuer=5, issued_at_ms=1000, challenge_nonce=77,
+        group_trust_raw=0, responses=(CertResponse(1, m_raw, w_raw, rtag),),
+        certificate_tag=b"")
+    body = messages.certificate_body_bytes(unsigned)
+    with pytest.raises(RepValOverflow):
+        decode_certificate(body + tag(body, bytes([5]) * 16))
+    at_limit = make_cert(None, ms=(1.0, 1.0, 1.0))
+    assert decode_certificate(encode_certificate(at_limit)) == at_limit

@@ -10,8 +10,11 @@ from trustwatch import messages, trust_math
 from trustwatch.messages import (
     Authority,
     CertResponse,
+    GroupTrustCertificate,
     RepMessType,
+    ReputationHeader,
     build_certificate,
+    certificate_body_bytes,
     encode_certificate,
     response_sign_bytes,
     tag,
@@ -21,6 +24,7 @@ from trustwatch.node_protocol import (
     OUTCOME_DROP,
     OUTCOME_OK,
     _ALARM_PAYLOAD,
+    _RESP_PAYLOAD,
     _VOTE_RECORD,
     Node,
     ProtocolParams,
@@ -238,6 +242,54 @@ def test_stale_frame_outside_replay_window_ignored():
     frames = world.nodes[1].initiate_challenge(3, 1000)
     stale_at = 1000 + world.params.replay_window_ms + 1
     assert world.nodes[3].receive(frames[0].data, stale_at) == []
+
+
+# --- hostile input from enrolled senders ----------------------------------
+
+def record_events(node):
+    events = []
+    node.on_event = lambda now, kind, subject, detail: events.append(
+        (kind, subject, detail))
+    return events
+
+
+def test_rep_response_weight_over_scale_rejected_and_logged():
+    world = World(3)
+    accused = world.nodes[3]
+    events = record_events(accused)
+    round_out = accused.receive(
+        world.nodes[1].initiate_challenge(3, 1000)[0].data, 1001)
+    (collect_nonce, state), = accused.collects.items()
+    w_raw = 65535
+    rtag = tag(response_sign_bytes(3, 2, 0, w_raw, collect_nonce), secret_for(2))
+    header = ReputationHeader(
+        mess_type=int(RepMessType.REP_RESPONSE), subject=3, rep_val_raw=0,
+        timestamp_ms=1002, nonce=99, sender=2)
+    frame = messages.encode_rep_mess(
+        header, _RESP_PAYLOAD.pack(w_raw, collect_nonce) + rtag, secret_for(2))
+    assert accused.receive(frame, 1002) == []
+    assert ("response_rejected", 2, f"w={w_raw}") in events
+    assert state.collected == {}
+    # the honest responses still complete the round
+    world.deliver(3, round_out, 1003)
+    assert state.done and set(state.collected) == {1, 2}
+
+
+def test_certificate_with_out_of_range_response_logged_as_malformed():
+    world = World(5)
+    node = world.nodes[1]
+    events = record_events(node)
+    m_raw, w_raw, nonce = 60000, to_fixed(1.0), 10
+    rtag = tag(response_sign_bytes(5, 2, m_raw, w_raw, nonce), secret_for(2))
+    body = certificate_body_bytes(GroupTrustCertificate(
+        subject=5, issuer=5, issued_at_ms=1000, challenge_nonce=nonce,
+        group_trust_raw=0, responses=(CertResponse(2, m_raw, w_raw, rtag),),
+        certificate_tag=b""))
+    data = body + tag(body, secret_for(5))
+    assert node.handle_certificate(data, 1000, cache=True, from_node=5) == []
+    assert events == [("cert_malformed", 0, "RepValOverflow")]
+    assert 5 not in node.table
+    assert len(node.cache) == 0
 
 
 # --- alarms ---------------------------------------------------------------

@@ -2,11 +2,15 @@
 and determinism."""
 
 import itertools
+import random
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trustwatch import harness
+from trustwatch import harness, messages
 from trustwatch.sim import (
     PRESETS,
     AdversaryProfile,
@@ -102,6 +106,53 @@ def test_ever_neighbors_accumulates_symmetrically():
             assert a in res.ever_neighbors[b]
 
 
+def dense_adjacency(sim):
+    """The unit-disk graph recomputed from scratch over all n^2 pairs."""
+    diff = sim.pos[:, None, :] - sim.pos[None, :, :]
+    adj = (diff ** 2).sum(axis=2) <= sim.cfg.tx_range_m ** 2
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def test_incremental_topology_matches_dense_recompute():
+    cfg = small_config(node_count=30, pause_s=1.0, rng_seed=11)
+    sim = Simulator(cfg)
+    ever = {nid: set() for nid in sim.ids}
+    changed_steps = unchanged_steps = 0
+    for step in range(400):
+        if step:
+            sim.now += cfg.topology_step_ms
+            sim._step_mobility(cfg.topology_step_ms / 1000.0)
+            before = sim.adj
+            sim._recompute_topology()
+            if sim.adj is before:
+                unchanged_steps += 1
+            else:
+                changed_steps += 1
+        want = dense_adjacency(sim)
+        for i, j in np.argwhere(want):
+            ever[int(i) + 1].add(int(j) + 1)
+        assert np.array_equal(sim.adj, want), f"step {step}"
+        for i, nid in enumerate(sim.ids):
+            expect = [int(j) + 1 for j in np.flatnonzero(want[i])]
+            assert sim.neighbor_lists[i] == expect, f"step {step} node {nid}"
+            assert sim.nodes[nid].neighbors == expect, f"step {step} node {nid}"
+        assert sim.ever_neighbors == ever, f"step {step}"
+    assert changed_steps > 100 and unchanged_steps > 0
+
+
+def test_topology_untouched_when_nothing_moves():
+    sim = Simulator(small_config(mobility_model="static"))
+    adj = sim.adj
+    lists = [list(x) for x in sim.neighbor_lists]
+    for _ in range(5):
+        sim.now += 100
+        sim._step_mobility(0.1)
+        sim._recompute_topology()
+    assert sim.adj is adj
+    assert sim.neighbor_lists == lists
+
+
 # --- routing --------------------------------------------------------------
 
 def brute_force_route(sim, src, dst, isolated):
@@ -161,6 +212,51 @@ def test_route_endpoints_exempt_from_isolation():
     assert sim.compute_route(1, 3, {1, 3}) == [1, 2, 3]
 
 
+def reference_hops(adj, src, dst, blocked):
+    """Hop count over the dense matrix, or None: a plain BFS that shares
+    no code with the simulator's."""
+    seen = {src}
+    level = [src]
+    hops = 0
+    while level:
+        if dst in level:
+            return hops
+        hops += 1
+        level = [int(j) + 1 for u in level for j in np.flatnonzero(adj[u - 1])
+                 if int(j) + 1 not in blocked and int(j) + 1 not in seen]
+        seen.update(level)
+    return None
+
+
+def test_bfs_routes_and_hop_distances_match_brute_force_while_moving():
+    cfg = small_config(node_count=16, pause_s=1.0, rng_seed=8)
+    sim = Simulator(cfg)
+    rng = random.Random(3)
+    multi_hop_routes = 0
+    for step in range(300):
+        sim.now += cfg.topology_step_ms
+        sim._step_mobility(cfg.topology_step_ms / 1000.0)
+        sim._recompute_topology()
+        if step % 20:
+            continue
+        adj = dense_adjacency(sim)
+        for src, dst in itertools.permutations(sim.ids, 2):
+            assert sim._hop_distance(src, dst) == \
+                reference_hops(adj, src, dst, set()), f"step {step} {src}->{dst}"
+            isolated = set(rng.sample(sim.ids, rng.randrange(6)))
+            blocked = isolated - {src, dst}
+            ledger = Counter(sim.ledger)
+            got = sim.compute_route(src, dst, isolated)
+            # brute force stops at the shortest level only if dst is reachable
+            want = (None if reference_hops(adj, src, dst, blocked) is None
+                    else brute_force_route(sim, src, dst, isolated))
+            assert got == want, f"step {step} {src}->{dst} isolated {sorted(isolated)}"
+            ledger.update(route_discoveries=1, msgs_routing=cfg.node_count)
+            assert sim.ledger == ledger
+            multi_hop_routes += got is not None and len(got) > 2
+    assert multi_hop_routes > 100
+
+
 # --- accounting and end-to-end behavior ----------------------------------
 
 def test_packet_conservation_small_runs():
@@ -212,3 +308,38 @@ def test_log_is_time_ordered():
     res = run_scenario(small_config(duration_s=120.0, malicious_count=1))
     times = [t for t, *_ in res.log]
     assert times == sorted(times)
+
+
+def test_cert_bytes_with_out_of_range_response_are_invalid():
+    sim = Simulator(small_config())
+    m_raw, w_raw, nonce = 60000, messages.to_fixed(1.0), 9
+    secret = {nid: sim.nodes[nid].secret for nid in (1, 2)}
+    rtag = messages.tag(messages.response_sign_bytes(1, 2, m_raw, w_raw, nonce),
+                        secret[2])
+    body = messages.certificate_body_bytes(messages.GroupTrustCertificate(
+        subject=1, issuer=1, issued_at_ms=0, challenge_nonce=nonce,
+        group_trust_raw=0,
+        responses=(messages.CertResponse(2, m_raw, w_raw, rtag),),
+        certificate_tag=b""))
+    assert sim._cert_bytes_valid(body + messages.tag(body, secret[1])) is False
+
+
+# --- documentation --------------------------------------------------------
+
+def test_readme_multi_hop_preset_matches_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = re.search(r"^- `multi-hop` — (.*?)(?=^- `|^$)", readme,
+                       re.M | re.S).group(1)
+    text = " ".join(bullet.split())
+    numbers = re.fullmatch(
+        r"(\d+) nodes, ([\d.]+) × ([\d.]+) m, ([\d.]+) m radio range, "
+        r"random waypoint at up to ([\d.]+) m/s with ([\d.]+) s pauses, "
+        r"(\d+) flows at ([\d.]+) pkt/s, (\d+) full packet droppers, "
+        r"([\d.]+) s\. The default experiment\.", text)
+    assert numbers, text
+    cfg = ScenarioConfig()
+    assert [float(x) for x in numbers.groups()] == [
+        cfg.node_count, cfg.area_width_m, cfg.area_height_m, cfg.tx_range_m,
+        cfg.max_speed_mps, cfg.pause_s, cfg.flow_count, cfg.flow_rate_pps,
+        cfg.malicious_count, cfg.duration_s]
+    assert cfg.mobility_model == "random_waypoint" and cfg.drop_prob == 1.0

@@ -1,6 +1,5 @@
 """Wire format for reputation messages and group-trust certificates,
-plus the identity bootstrap model (authority registry, univocal
-credentials, authenticity tags).
+plus the key registry that checks their authenticity tags.
 
 Frame layout, big-endian throughout:
 
@@ -71,10 +70,6 @@ class UnknownBinding(MessageError):
     pass
 
 
-class DuplicateCredential(MessageError):
-    pass
-
-
 class RepMessType(enum.IntEnum):
     REP_REQUEST = 0
     REP_RESPONSE = 1
@@ -121,35 +116,17 @@ def binding_of(secret: bytes) -> bytes:
     return hashlib.blake2b(secret, digest_size=TAG_LEN, person=b"twbind").digest()
 
 
-def credential_hash(credential: bytes) -> bytes:
-    return hashlib.blake2b(credential, digest_size=TAG_LEN, person=b"twcred").digest()
-
-
-@dataclass(frozen=True)
-class IdentityCertificate:
-    node: int
-    credential_hash: bytes
-    public_binding: bytes
-    authority_tag: bytes
-
-    def signed_bytes(self) -> bytes:
-        return struct.pack(">I", self.node) + self.credential_hash + self.public_binding
-
-
 class Authority:
     """Simulated certifying authority and public directory.
 
     Holds the secret-to-binding registry used to check authenticity tags
-    (the simulator's stand-in for public-key verification) and enforces
-    the one-certificate-per-credential rule. Written only during the
-    single-threaded bootstrap phase.
+    (the simulator's stand-in for public-key verification). Written only
+    during the single-threaded bootstrap phase.
     """
 
     def __init__(self, secret: bytes = b"\x00" * 32):
-        self._secret = secret
         self._secrets_by_binding: dict[bytes, bytes] = {}
         self._binding_by_node: dict[int, bytes] = {}
-        self._identities: dict[bytes, IdentityCertificate] = {}
         self._binding_by_node[AUTHORITY_ID] = self.register_secret(secret)
 
     def register_secret(self, secret: bytes) -> bytes:
@@ -181,26 +158,6 @@ class Authority:
         if binding is None:
             return False
         return self.verify_tag(message_bytes, tag_, binding)
-
-    def issue_identity(self, node_id: int, credential: bytes,
-                       public_binding: bytes) -> IdentityCertificate:
-        """Bind hash(credential) to a node binding, once per credential."""
-        chash = credential_hash(credential)
-        if chash in self._identities:
-            raise DuplicateCredential(
-                "a valid certificate already exists for this credential")
-        body = struct.pack(">I", node_id) + chash + public_binding
-        cert = IdentityCertificate(
-            node=node_id,
-            credential_hash=chash,
-            public_binding=public_binding,
-            authority_tag=tag(body, self._secret),
-        )
-        self._identities[chash] = cert
-        return cert
-
-    def identity_for(self, credential: bytes) -> IdentityCertificate | None:
-        return self._identities.get(credential_hash(credential))
 
 
 def encode_rep_mess(header: ReputationHeader, payload: bytes,

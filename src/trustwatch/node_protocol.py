@@ -19,7 +19,6 @@ from . import messages, trust_math
 from .messages import (
     Authority,
     CertResponse,
-    GroupTrustCertificate,
     RepMessType,
     ReputationHeader,
     Verdict,
@@ -62,7 +61,6 @@ class ProtocolParams:
     cache_capacity: int = 256
     piggyback_budget: int = 2
     alarm_jitter_ms: int = 10_000
-    max_alarm_attempts: int = 1
 
     @property
     def replay_window_ms(self) -> int:
@@ -82,7 +80,6 @@ class Outgoing:
 @dataclass
 class TableEntry:
     rep_val: float = 1.0
-    last_updated_ms: int = 0
     accepted_respondent_sets: set[frozenset[int]] = field(default_factory=set)
 
 
@@ -90,7 +87,6 @@ class TableEntry:
 class AccuserChallenge:
     subject: int
     nonce: int
-    initiated_at_ms: int
     ack_deadline_ms: int
     close_at_ms: int
     acked: bool = False
@@ -99,7 +95,6 @@ class AccuserChallenge:
 @dataclass
 class CollectState:
     nonce: int
-    opened_at_ms: int
     deadline_ms: int
     expected: set[int]
     collected: dict[int, CertResponse] = field(default_factory=dict)
@@ -110,7 +105,6 @@ class CollectState:
 class AlarmState:
     subject: int
     nonce: int
-    raised_at_ms: int
     deadline_ms: int
     votes: dict[int, tuple[bool, bytes]] = field(default_factory=dict)
 
@@ -145,11 +139,10 @@ class Node:
 
         self.cache: OrderedDict[tuple, bytes] = OrderedDict()
         self.processed_certs: set[tuple] = set()
-        self.wanted_keys: set[tuple] = set()
 
         self.alarms: dict[int, AlarmState] = {}
         self.pending_alarms: dict[int, int] = {}
-        self.alarm_attempts: dict[int, int] = {}
+        self.alarmed: set[int] = set()  # subjects this node raised an alarm on
         self.last_alarm_seen_ms: dict[int, int] = {}
         self.flood_seen: set[tuple] = set()
         self.seen_nonces: set[tuple[int, int]] = set()
@@ -226,7 +219,7 @@ class Node:
             return []
         nonce = self._nonce()
         self.challenges[subject] = AccuserChallenge(
-            subject=subject, nonce=nonce, initiated_at_ms=now,
+            subject=subject, nonce=nonce,
             ack_deadline_ms=now + self.params.challenge_ack_deadline_ms,
             close_at_ms=now + self.params.challenge_ack_deadline_ms
             + self.params.collect_window_ms + 5_000)
@@ -291,8 +284,8 @@ class Node:
             return out
         nonce = self._nonce()
         self.collects[nonce] = CollectState(
-            nonce=nonce, opened_at_ms=now,
-            deadline_ms=now + self.params.collect_window_ms, expected=expected)
+            nonce=nonce, deadline_ms=now + self.params.collect_window_ms,
+            expected=expected)
         self._log(now, "verify_behavior", self.node_id, f"fanout={len(expected)}")
         frame = self._frame(RepMessType.VERIFY_BEHAVIOR, self.node_id, 0,
                             struct.pack(">Q", nonce), now)
@@ -419,14 +412,10 @@ class Node:
             if verdict is Verdict.DROPPED_FEEDBACK:
                 # the aggregator suppressed this node's feedback: direct
                 # evidence of protocol violation by the issuer
-                entry = self.table.setdefault(cert.issuer, TableEntry())
-                entry.rep_val = 0.0
-                entry.last_updated_ms = now
-                self.schedule_alarm(cert.issuer, now)
+                self._condemn(cert.issuer, now)
             return []
 
         self.processed_certs.add(key)
-        self.wanted_keys.discard(key)
         entry = self.table.setdefault(cert.subject, TableEntry())
         effective = [r for r in cert.responses if r.weight_raw > 0]
         fingerprint = frozenset(r.respondent for r in effective)
@@ -441,22 +430,16 @@ class Node:
             )
             for r in effective
         ]
+        a1, adverse = 0.0, False
         if obs:
-            majority, _ = trust_math.partition_majority(
-                obs, self.params.maliciousness_threshold)
-            total_weight = sum(o.weight for o in obs)
-            a1 = trust_math.alpha1(majority, total_weight) if total_weight > 0 else 0.0
-            n_high = sum(1 for o in obs
-                         if o.maliciousness >= self.params.maliciousness_threshold)
-            adverse = n_high > len(obs) - n_high
-        else:
-            a1, adverse = 0.0, False
+            group = trust_math.group_trust(obs, self.params.maliciousness_threshold)
+            a1 = trust_math.alpha1(group.majority, sum(o.weight for o in obs))
+            adverse = group.majority_adverse
         b = trust_math.beta(a1, self.params.alpha2, a3)
         t_old = entry.rep_val
         t_new = trust_math.update_trust(
             t_old, from_fixed(cert.group_trust_raw), self.params.alpha, b, 0.0)
         entry.rep_val = t_new
-        entry.last_updated_ms = now
         entry.accepted_respondent_sets.add(fingerprint)
         self._log(now, "cert_accepted", cert.subject,
                   f"t={t_new:.4f} b={b:.4f}")
@@ -492,6 +475,21 @@ class Node:
 
     # --- alarm raiser -----------------------------------------------------
 
+    def _condemn(self, subject: int, now: int) -> None:
+        """Direct evidence of misbehavior: trust drops to 0 and an alarm
+        is queued."""
+        self.table.setdefault(subject, TableEntry()).rep_val = 0.0
+        self.schedule_alarm(subject, now)
+
+    def _may_alarm(self, subject: int, now: int) -> bool:
+        """True unless the subject is isolated, this node has raised an
+        alarm on it, or another raiser's alarm on it is still within its
+        cooldown."""
+        if subject in self.isolated or subject in self.alarmed:
+            return False
+        last_seen = self.last_alarm_seen_ms.get(subject)
+        return last_seen is None or now - last_seen >= self.params.alarm_cooldown_ms
+
     def schedule_alarm(self, subject: int, now: int) -> None:
         """Queue an alarm with a short random holdoff.
 
@@ -500,28 +498,17 @@ class Node:
         the rest before their own raise fires, so one alarm (not one per
         recipient) goes network-wide.
         """
-        if subject in self.isolated or subject in self.alarms or \
-                subject in self.pending_alarms:
-            return
-        if self.alarm_attempts.get(subject, 0) >= self.params.max_alarm_attempts:
-            return
-        last_seen = self.last_alarm_seen_ms.get(subject)
-        if last_seen is not None and now - last_seen < self.params.alarm_cooldown_ms:
+        if subject in self.pending_alarms or not self._may_alarm(subject, now):
             return
         self.pending_alarms[subject] = \
             now + self.rng.randint(0, self.params.alarm_jitter_ms)
 
     def raise_global_alarm(self, subject: int, now: int) -> list[Outgoing]:
-        if subject in self.isolated or subject in self.alarms:
+        if not self._may_alarm(subject, now):
             return []
-        last_seen = self.last_alarm_seen_ms.get(subject)
-        if last_seen is not None and now - last_seen < self.params.alarm_cooldown_ms:
-            return []
-        if self.alarm_attempts.get(subject, 0) >= self.params.max_alarm_attempts:
-            return []
-        self.alarm_attempts[subject] = self.alarm_attempts.get(subject, 0) + 1
+        self.alarmed.add(subject)
         nonce = self._nonce()
-        state = AlarmState(subject=subject, nonce=nonce, raised_at_ms=now,
+        state = AlarmState(subject=subject, nonce=nonce,
                            deadline_ms=now + self.params.vote_window_ms)
         own_tag = messages.tag(
             vote_sign_bytes(subject, self.node_id, self.node_id, nonce, True),
@@ -687,10 +674,7 @@ class Node:
             if not state.acked and now >= state.ack_deadline_ms:
                 # silence on challenge: treated as maximal maliciousness
                 self._log(now, "challenge_silent", subject, "")
-                entry = self.table.setdefault(subject, TableEntry())
-                entry.rep_val = 0.0
-                entry.last_updated_ms = now
-                self.schedule_alarm(subject, now)
+                self._condemn(subject, now)
                 del self.challenges[subject]
             elif now >= state.close_at_ms:
                 del self.challenges[subject]
@@ -713,7 +697,8 @@ class Node:
                 out.extend(self._tally_alarm(state, now))
                 del self.alarms[subject]
         # retry subjects the table condemns but the network has not yet
-        # isolated (e.g. an earlier alarm that fell short of quorum)
+        # isolated (e.g. another raiser's alarm fell short of quorum and
+        # its cooldown has passed; this node raises at most once)
         for subject, entry in self.table.items():
             if entry.rep_val < trust_math.MALICIOUS_BELOW and \
                     subject not in self.isolated:
@@ -729,9 +714,6 @@ class Node:
     def cache_keys(self) -> list[tuple]:
         return list(self.cache.keys())
 
-    def cache_get(self, key: tuple) -> bytes | None:
-        return self.cache.get(key)
-
     def cache_replace(self, key: tuple, cert_bytes: bytes) -> None:
         self.cache[key] = cert_bytes
 
@@ -742,13 +724,9 @@ class Node:
                                        from_node=from_node)
 
     def piggyback_keys(self) -> list[tuple]:
-        keys = list(self.cache.keys())
-        return keys[-self.params.piggyback_budget:]
-
-    def note_piggyback(self, keys: list[tuple]) -> None:
-        for key in keys:
-            if key not in self.cache and key not in self.processed_certs:
-                self.wanted_keys.add(key)
+        """The newest cache keys, at most ``piggyback_budget`` of them."""
+        budget = self.params.piggyback_budget
+        return list(self.cache)[-budget:] if budget > 0 else []
 
     # --- adversary hooks (honest defaults) --------------------------------
 

@@ -14,11 +14,11 @@ import bisect
 import heapq
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .messages import Authority, RepMessType
+from .messages import Authority
 from .node_protocol import (
     OUTCOME_DROP,
     OUTCOME_MODIFIED,
@@ -96,7 +96,7 @@ class ScenarioConfig:
                 problems.append(f"{name} must be positive")
         for name in ("node_count", "buffer_capacity", "topology_step_ms",
                      "service_slot_ms", "hop_latency_ms", "tick_interval_ms",
-                     "min_voters"):
+                     "min_voters", "cache_capacity"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
         if self.flow_count < 0 or self.malicious_count < 0:
@@ -115,6 +115,8 @@ class ScenarioConfig:
                 problems.append(f"{name} must be in [0, 1]")
         if self.delta < 0:
             problems.append("delta must be >= 0")
+        if self.piggyback_budget < 0:
+            problems.append("piggyback_budget must be >= 0")
         if problems:
             raise ConfigInvalid(problems)
 
@@ -173,7 +175,6 @@ class AdversaryProfile:
     drops_feedback_in_aggregate: bool = False
     tampers_certificates: bool = False
     false_accuser: bool = False
-    colluding_set: frozenset[int] | None = None
 
 
 class AdversaryNode(Node):
@@ -224,7 +225,6 @@ class DataPacket:
     created_ms: int
     watched_by: int | None = None
     tampered: bool = False
-    pb_keys: list = field(default_factory=list)
 
 
 @dataclass
@@ -311,8 +311,7 @@ class Simulator:
         self.nodes: dict[int, Node] = {}
         for nid in self.ids:
             secret = self.rng.randbytes(32)
-            binding = self.authority.enroll(nid, secret)
-            self.authority.issue_identity(nid, f"serial-{nid:08d}".encode(), binding)
+            self.authority.enroll(nid, secret)
             if nid in self.profiles:
                 node = AdversaryNode(nid, secret, self.authority, params,
                                      seed=config.rng_seed, profile=self.profiles[nid])
@@ -600,10 +599,10 @@ class Simulator:
             packet = DataPacket(
                 pid=self._pid, flow_id=fid, src=flow.src, dst=flow.dst,
                 route=list(flow.route), hop_index=1, created_ms=self.now,
-                watched_by=watched, pb_keys=src_node.piggyback_keys())
+                watched_by=watched)
             counters["sent"] += 1
             self._in_flight[fid] += 1
-            self.ledger["pb_bytes"] += _KEY_BYTES * len(packet.pb_keys)
+            self.ledger["pb_bytes"] += _KEY_BYTES * len(src_node.piggyback_keys())
             src_node.note_contact(packet.route[1], self.now)
             self._push(self.now + self.cfg.hop_latency_ms, EV_ARRIVE,
                        (packet.route[1], packet))
@@ -621,8 +620,6 @@ class Simulator:
 
     def _handle_arrive(self, nid: int, packet: DataPacket) -> None:
         node = self.nodes[nid]
-        if packet.pb_keys:
-            node.note_piggyback(packet.pb_keys)
         upstream = packet.route[packet.hop_index - 1]
         node.note_contact(upstream, self.now)
         if nid == packet.dst:
@@ -689,11 +686,9 @@ class Simulator:
     def _handle_exchange(self) -> None:
         for nid in self.ids:
             self.nodes[nid].replenish_tick(self.now)
-        pairs = np.argwhere(self.adj)
-        for i, j in pairs:
-            if i >= j:
-                continue
-            self._exchange_pair(int(i) + 1, int(j) + 1)
+        within = self._pair_within
+        for i, j in zip(self._pair_i[within].tolist(), self._pair_j[within].tolist()):
+            self._exchange_pair(i + 1, j + 1)
         nxt = self.now + int(self.cfg.exchange_interval_s * 1000)
         if nxt <= self.duration_ms:
             self._push(nxt, EV_EXCHANGE, None)

@@ -1,4 +1,4 @@
-"""Pure trust arithmetic: classification bands, majority partitioning,
+"""Pure trust arithmetic: the malicious band, majority partitioning,
 group trust, and the cumulative trust-update rule with its weighting
 factors.
 
@@ -9,11 +9,9 @@ producing operation clamps its result into [0, 1].
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 MALICIOUS_BELOW = 0.4
-TRUSTED_ABOVE = 0.9
 
 
 class TrustMathError(ValueError):
@@ -34,12 +32,6 @@ class InvalidK(TrustMathError):
 
 class OutOfRangeFactor(TrustMathError):
     pass
-
-
-class TrustClass(enum.Enum):
-    MALICIOUS = "malicious"
-    SUSPECTED = "suspected"
-    TRUSTED = "trusted"
 
 
 def clamp01(x: float) -> float:
@@ -77,56 +69,10 @@ class MaliciousnessObservation:
 @dataclass(frozen=True)
 class GroupTrustResult:
     group_trust: float
-    majority: tuple[int, ...]
-    minority: tuple[int, ...]
+    majority: tuple[MaliciousnessObservation, ...]
     # True when the majority is the at-or-above-threshold ("node looks
     # malicious") group. Drives certificate re-propagation.
     majority_adverse: bool = False
-
-
-@dataclass
-class UpdateParams:
-    """Scenario constants for the trust-update rule.
-
-    W, when None, defaults per evaluation to the total weight of the
-    respondents of the challenge, making the majority weight sum a
-    fraction in [0, 1].
-    """
-
-    alpha: float = 0.6
-    alpha2: float = 0.8
-    delta: float = 0.001
-    W: float | None = None
-    maliciousness_threshold: float = 0.5
-
-    def validate(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise TrustMathError(f"alpha {self.alpha} outside [0, 1]")
-        if not 0.0 <= self.alpha2 <= 1.0:
-            raise TrustMathError(f"alpha2 {self.alpha2} outside [0, 1]")
-        if self.delta < 0.0:
-            raise TrustMathError(f"delta {self.delta} must be >= 0")
-        if self.W is not None and self.W <= 0.0:
-            raise NonPositiveW(f"W {self.W} must be > 0")
-        if not 0.0 <= self.maliciousness_threshold <= 1.0:
-            raise TrustMathError(
-                f"maliciousness_threshold {self.maliciousness_threshold} "
-                f"outside [0, 1]")
-
-
-def classify_trust(t: float) -> TrustClass:
-    """Map a trust value in [0, 1] to its band.
-
-    Below 0.4 is malicious, above 0.9 is trusted; both boundaries fall in
-    the suspected band.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise TrustMathError(f"trust value {t} outside [0, 1]")
-    if t < MALICIOUS_BELOW:
-        return TrustClass.MALICIOUS
-    if t > TRUSTED_ABOVE:
-        return TrustClass.TRUSTED
-    return TrustClass.SUSPECTED
 
 
 def partition_majority(
@@ -161,19 +107,15 @@ def group_trust(
         raise EmptyObservationSet("no observations for group trust")
     effective = [o for o in obs if o.weight > 0.0]
     if not effective:
-        return GroupTrustResult(
-            group_trust=1.0, majority=(), minority=(), majority_adverse=False)
-    majority, minority = partition_majority(effective, threshold)
+        return GroupTrustResult(group_trust=1.0, majority=())
+    majority, _ = partition_majority(effective, threshold)
     mean_m = sum(o.maliciousness for o in majority) / len(majority)
-    # majority is adverse exactly when the >= threshold group was strictly
-    # larger (ties resolve to the honest-looking group).
-    n_high = sum(1 for o in effective if o.maliciousness >= threshold)
-    adverse = n_high > len(effective) - n_high
+    # the majority is never empty here; it is adverse exactly when it is the
+    # >= threshold group, which wins only when strictly larger
     return GroupTrustResult(
         group_trust=clamp01(1.0 - mean_m),
-        majority=tuple(o.respondent for o in majority),
-        minority=tuple(o.respondent for o in minority),
-        majority_adverse=adverse,
+        majority=tuple(majority),
+        majority_adverse=majority[0].maliciousness >= threshold,
     )
 
 

@@ -1,10 +1,10 @@
-"""Byte-identity gate: the first scenario of two benchmark workloads at
-seed 1 (scenario seed 1000) must reproduce the ``render_log()`` SHA-256
-recorded in ``bench/expected.json``. A change that alters simulated
-behaviour fails here; one that is meant to must re-record the benchmark's
-expected outputs (``bench/run.py --record``)."""
+"""Byte-identity gate: the first scenario of every benchmark workload at
+seed 1 (scenario seed 1000) must reproduce both digests recorded in
+``bench/expected.json``: the ``render_log()`` SHA-256 and the outcome
+digest, which also covers the overhead ledger that the log does not show.
+A change that alters simulated behaviour fails here; one that is meant to
+must re-record the benchmark's expected outputs (``bench/run.py --record``)."""
 
-import hashlib
 import importlib.util
 import json
 import sys
@@ -12,26 +12,31 @@ from pathlib import Path
 
 import pytest
 
+from trustwatch import harness
 from trustwatch.sim import Simulator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 1
 
 
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", BENCH / "workloads.py")
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-@pytest.mark.parametrize("workload", ["multihop", "congestion"])
+@pytest.mark.parametrize("workload",
+                         ["multihop", "congestion", "scale200", "adversarial"])
 def test_log_digest_matches_benchmark_record(workload):
-    cfg = bench_workloads()[workload].configs(SEED)[0]
+    checks = bench_module("checks")
+    cfg = bench_module("workloads").WORKLOADS[workload].configs(SEED)[0]
     assert cfg.rng_seed == 1000
-    expected = json.loads((BENCH / "expected.json").read_text())
-    want = expected[workload][str(cfg.rng_seed)]["log"]
-    log = Simulator(cfg).run().render_log()
-    assert hashlib.sha256(log.encode()).hexdigest() == want
+    want = json.loads((BENCH / "expected.json").read_text())[workload][
+        str(cfg.rng_seed)]
+    result = Simulator(cfg).run()
+    assert checks.log_digest(result.render_log()) == want["log"]
+    assert checks.outcome_digest(result, harness.compute_metrics(result)) \
+        == want["outcome"]

@@ -16,7 +16,6 @@ from trustwatch.messages import (
     Authority,
     BadVersion,
     CertResponse,
-    DuplicateCredential,
     LengthMismatch,
     RepMessType,
     RepValOverflow,
@@ -205,15 +204,6 @@ def test_authority_tag_verification(authority):
 def test_authority_unknown_binding_raises(authority):
     with pytest.raises(UnknownBinding):
         authority.verify_tag(b"x", b"y" * TAG_LEN, b"nope" * 8)
-
-
-def test_duplicate_credential_rejected(authority):
-    binding = authority.binding(1)
-    authority.issue_identity(1, b"serial-0001", binding)
-    with pytest.raises(DuplicateCredential):
-        authority.issue_identity(2, b"serial-0001", authority.binding(2))
-    cert = authority.identity_for(b"serial-0001")
-    assert cert is not None and cert.node == 1
 
 
 # --- certificates ---------------------------------------------------------

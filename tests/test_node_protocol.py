@@ -5,6 +5,8 @@ exchange-round delivery bound on static topologies."""
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustwatch import messages, trust_math
 from trustwatch.messages import (
@@ -16,6 +18,7 @@ from trustwatch.messages import (
     build_certificate,
     certificate_body_bytes,
     encode_certificate,
+    encode_rep_mess,
     response_sign_bytes,
     tag,
     to_fixed,
@@ -292,6 +295,101 @@ def test_certificate_with_out_of_range_response_logged_as_malformed():
     assert len(node.cache) == 0
 
 
+def primed_node():
+    """Node 3 of five with a collection round open on itself, a challenge
+    open against node 5 and its own alarm on node 4 open, so every handler
+    has state a hostile frame can reach. Returns the node and the three
+    nonces that state answers to."""
+    world = World(5)
+    node = world.nodes[3]
+    node.receive(world.nodes[1].initiate_challenge(3, 1000)[0].data, 1000)
+    node.initiate_challenge(5, 1000)
+    node.raise_global_alarm(4, 1000)
+    (collect_nonce,) = node.collects
+    return node, [collect_nonce, node.challenges[5].nonce, node.alarms[4].nonce]
+
+
+@pytest.mark.parametrize("mtype", list(RepMessType), ids=lambda t: t.name)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_signed_frame_raises_out_of_a_handler(mtype, data):
+    """Whatever an enrolled sender signs, the honest node rejects or
+    handles it; nothing escapes receive, handle_certificate or the next
+    tick."""
+    node, nonces = primed_node()
+    draw = data.draw
+    # ids 3 and 4 hold the primed state; 1..5 are enrolled, 0 is the
+    # authority and 6..7 are unknown
+    node_id = st.sampled_from([3, 4]) | st.integers(0, 7)
+    nonce = st.sampled_from([*nonces, 0])  # 0 stands for any unknown nonce
+    scale = messages.FIXED_POINT_SCALE
+    raw = st.integers(0, scale) | st.integers(scale + 1, 0xFFFF)  # half over scale
+    tag32 = st.binary(min_size=messages.TAG_LEN, max_size=messages.TAG_LEN)
+    subject, sender = draw(node_id), draw(st.integers(1, 5))
+
+    def maybe_signed(signed: bytes, signer: int) -> bytes:
+        return tag(signed, secret_for(signer)) if draw(st.booleans()) \
+            else draw(tag32)
+
+    cert_subject, cert_nonce = draw(node_id), draw(nonce)
+    responses = []
+    for rid in draw(st.lists(node_id, max_size=4)):
+        m_raw, w_raw = draw(raw), draw(raw)
+        rtag = maybe_signed(
+            response_sign_bytes(cert_subject, rid, m_raw, w_raw, cert_nonce), rid)
+        responses.append(CertResponse(rid, m_raw, w_raw, rtag))
+    issuer = draw(node_id)
+    in_range = all(max(r.maliciousness_raw, r.weight_raw) <= scale
+                   for r in responses)
+    if in_range and draw(st.booleans()):
+        cert = encode_certificate(build_certificate(
+            cert_subject, issuer, draw(st.integers(0, 2000)), cert_nonce,
+            responses, THRESHOLD, secret_for(issuer)))
+    else:
+        body = certificate_body_bytes(GroupTrustCertificate(
+            subject=cert_subject, issuer=issuer,
+            issued_at_ms=draw(st.integers(0, 2000)), challenge_nonce=cert_nonce,
+            group_trust_raw=draw(raw), responses=tuple(responses),
+            certificate_tag=b""))
+        cert = body + maybe_signed(body, issuer)
+
+    raiser, alarm_nonce = draw(node_id), draw(nonce)
+    votes = draw(st.lists(st.tuples(st.just(sender) | node_id, st.booleans()),
+                          min_size=1, max_size=4))
+    records = [_VOTE_RECORD.pack(voter, int(vote)) + maybe_signed(
+                   vote_sign_bytes(subject, raiser, voter, alarm_nonce, vote), voter)
+               for voter, vote in votes]
+    kind = draw(st.sampled_from([0, 1, 2]))  # flood, verdict, unknown
+    verdict = _ALARM_PAYLOAD.pack(kind, raiser, alarm_nonce) \
+        + struct.pack(">H", draw(st.just(len(records)) | st.integers(0, 0xFFFF))) \
+        + b"".join(records)
+    # the payload of the frame's own type half of the time, so frames get
+    # past the length checks into each handler's logic
+    fitting = {
+        RepMessType.REP_RESPONSE: _RESP_PAYLOAD.pack(
+            draw(raw), draw(st.just(nonces[0]) | nonce)) + draw(tag32),
+        RepMessType.REP_BROADCAST: draw(st.sampled_from([b"\x00", b"\x01"])) + cert,
+        RepMessType.CHALLENGE: struct.pack(">Q", draw(nonce)),
+        RepMessType.CHALLENGE_ACK: struct.pack(">Q", draw(nonce)),
+        RepMessType.VERIFY_BEHAVIOR: struct.pack(">Q", draw(nonce)),
+        RepMessType.GLOBAL_ALARM: verdict,  # a flood when kind is 0
+        RepMessType.ALARM_VOTE:
+            _ALARM_PAYLOAD.pack(0, raiser, alarm_nonce) + records[0],
+    }
+    fit = fitting.get(mtype, b"")
+    payload = draw(st.just(fit) | st.one_of(
+        st.integers(0, len(fit)).map(lambda n: fit[:n]), st.binary(max_size=120)))
+    header = ReputationHeader(
+        mess_type=int(mtype), subject=subject,
+        rep_val_raw=draw(st.integers(0, scale)),
+        timestamp_ms=draw(st.integers(0, 5000)), nonce=draw(nonce),
+        sender=sender)
+    node.receive(encode_rep_mess(header, payload, secret_for(sender)), 1010)
+    node.handle_certificate(cert, 1020, cache=draw(st.booleans()),
+                            from_node=sender)
+    node.tick(20_000)
+
+
 # --- alarms ---------------------------------------------------------------
 
 def test_lone_false_accuser_cannot_isolate():
@@ -441,10 +539,18 @@ def exchange_round(world, now):
                 continue
             for key in sorted(snapshot[a] - snapshot[b]):
                 world.nodes[b].receive_exchanged_cert(
-                    world.nodes[a].cache_get(key), a, now)
+                    world.nodes[a].outgoing_cache_bytes(key), a, now)
             for key in sorted(snapshot[b] - snapshot[a]):
                 world.nodes[a].receive_exchanged_cert(
-                    world.nodes[b].cache_get(key), b, now)
+                    world.nodes[b].outgoing_cache_bytes(key), b, now)
+
+
+@pytest.mark.parametrize("budget,offered", [(0, 0), (2, 2), (9, 5)])
+def test_piggyback_offers_the_newest_keys_within_budget(budget, offered):
+    node = World(2, params=ProtocolParams(piggyback_budget=budget)).nodes[1]
+    for i in range(5):
+        node._cache_put((i,), b"", 0)
+    assert node.piggyback_keys() == [(i,) for i in range(5 - offered, 5)]
 
 
 def seed_certs(world):

@@ -36,7 +36,8 @@ def test_config_defaults_valid():
 
 def test_config_collects_all_problems():
     cfg = ScenarioConfig(duration_s=-1, node_count=0, alpha=1.5,
-                         mobility_model="teleport")
+                         mobility_model="teleport", cache_capacity=0,
+                         piggyback_budget=-1)
     with pytest.raises(ConfigInvalid) as err:
         cfg.validate()
     text = str(err.value)
@@ -44,6 +45,8 @@ def test_config_collects_all_problems():
     assert "node_count" in text
     assert "alpha" in text
     assert "teleport" in text
+    assert "cache_capacity" in text
+    assert "piggyback_budget" in text
 
 
 def test_config_malicious_count_bound():

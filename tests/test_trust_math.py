@@ -16,12 +16,9 @@ from trustwatch.trust_math import (
     MaliciousnessObservation,
     NonPositiveW,
     OutOfRangeFactor,
-    TrustClass,
-    UpdateParams,
     alpha1,
     alpha3,
     beta,
-    classify_trust,
     clamp01,
     group_trust,
     partition_majority,
@@ -173,13 +170,6 @@ def test_beta_rejects_out_of_range_factor():
         beta(1.5, 0.5, 1.0)
 
 
-def test_classification_bands():
-    assert classify_trust(0.39) is TrustClass.MALICIOUS
-    assert classify_trust(0.4) is TrustClass.SUSPECTED
-    assert classify_trust(0.9) is TrustClass.SUSPECTED
-    assert classify_trust(0.91) is TrustClass.TRUSTED
-
-
 def test_observation_validation():
     with pytest.raises(ValueError):
         obs(1.5)
@@ -190,13 +180,6 @@ def test_observation_validation():
 def test_replenish_caps_at_one():
     assert replenish(0.9995, 0.001) == 1.0
     assert replenish(0.5, 0.001) == pytest.approx(0.501)
-
-
-def test_update_params_defaults_are_valid():
-    params = UpdateParams()
-    assert 0.0 <= params.alpha <= 1.0
-    assert 0.0 <= params.alpha2 <= 1.0
-    assert params.delta >= 0.0
 
 
 # --- properties -----------------------------------------------------------

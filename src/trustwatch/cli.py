@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import harness, messages
-from .sim import ConfigInvalid, ScenarioConfig, run_scenario
+from .sim import ConfigInvalid, ScenarioConfig, SimResult, run_scenario
 
 
 def _load_scenario(path: str | None) -> ScenarioConfig:
@@ -22,7 +22,7 @@ def _load_scenario(path: str | None) -> ScenarioConfig:
 def _effective_seed(args_seed: int | None) -> int | None:
     env = os.environ.get("TRUSTWATCH_SEED")
     if env is not None:
-        return int(env)
+        return harness._coerce("TRUSTWATCH_SEED", env, int)
     return args_seed
 
 
@@ -88,18 +88,19 @@ def cmd_codec_inspect(args) -> int:
 def cmd_replay(args) -> int:
     cfg = _load_scenario(args.scenario)
     records = []
-    for line in Path(args.log).read_text().splitlines():
+    for lineno, line in enumerate(Path(args.log).read_text().splitlines(), 1):
         parts = line.split(" ", 4)
         if len(parts) < 4:
             continue
-        t, kind, actor, subject = int(parts[0]), parts[1], int(parts[2]), \
-            int(parts[3])
-        detail = parts[4] if len(parts) > 4 else ""
-        records.append((t, kind, actor, subject, detail))
+        try:
+            records.append((int(parts[0]), parts[1], int(parts[2]),
+                            int(parts[3]), parts[4] if len(parts) > 4 else ""))
+        except ValueError:
+            raise ConfigInvalid([f"{args.log} line {lineno}: time, actor and "
+                                 f"subject must be integers: {line!r}"])
     if args.baseline != "loc":
         print(f"unknown baseline {args.baseline!r}", file=sys.stderr)
         return 2
-    from .sim import SimResult
     shim = SimResult(config=cfg, log=records, ledger={}, malicious=set(),
                      cert_issued={}, cert_holders={}, ever_neighbors={},
                      isolated_final={}, flow_counters={},

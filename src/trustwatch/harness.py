@@ -6,9 +6,11 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
+from .node_protocol import MonitorWindow
 from .sim import ConfigInvalid, PRESETS, ScenarioConfig, SimResult, run_scenario
 
 
@@ -114,24 +116,15 @@ def loc_baseline(result: SimResult) -> list[tuple[int, int, int]]:
     """Replay monitor observations under a local-only detector that floods
     an alarm each time an observation leaves a neighbor's window over the
     maliciousness threshold -- no challenge, no consensus, no suppression
-    of repeats. Returns (time_ms, observer, subject) alarms."""
-    cfg = result.config
-    window_ms = int(cfg.monitor_window_s * 1000)
-    windows: dict[tuple[int, int], deque] = {}
+    of repeats. The window and the threshold rule are the node's own.
+    Returns (time_ms, observer, subject) alarms."""
+    params = result.config.protocol_params()
+    windows = defaultdict(partial(MonitorWindow, params.monitor_window_ms))
     alarms: list[tuple[int, int, int]] = []
     for t, kind, actor, subject, detail in result.log:
         if kind != "monitor_obs":
             continue
-        key = (actor, subject)
-        window = windows.setdefault(key, deque())
-        window.append((t, int(detail)))
-        horizon = t - window_ms
-        while window and window[0][0] < horizon:
-            window.popleft()
-        denom = len(window)
-        bad = sum(1 for _, outcome in window if outcome != 0)
-        m = bad / denom if denom else 0.0
-        if denom >= cfg.min_samples and m > cfg.monitor_threshold:
+        if params.suspects(*windows[actor, subject].add(t, int(detail))):
             alarms.append((t, actor, subject))
     return alarms
 
@@ -253,11 +246,12 @@ def parse_sweep_file(text: str) -> SweepSpec:
     mapping = _parse_kv_lines(text)
     try:
         variable = mapping.pop("variable")
-        values = [float(v) for v in mapping.pop("values").split(",") if v.strip()]
+        values = [_coerce("values", v.strip(), float)
+                  for v in mapping.pop("values").split(",") if v.strip()]
     except KeyError as exc:
         raise ConfigInvalid([f"missing required sweep key {exc.args[0]!r}"])
-    repetitions = int(mapping.pop("repetitions", "3"))
-    seed_base = int(mapping.pop("seed_base", "1"))
+    repetitions = _coerce("repetitions", mapping.pop("repetitions", "3"), int)
+    seed_base = _coerce("seed_base", mapping.pop("seed_base", "1"), int)
     base = scenario_from_mapping(mapping)
     spec = SweepSpec(variable=variable, values=values, repetitions=repetitions,
                      base=base, seed_base=seed_base)

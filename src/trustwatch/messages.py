@@ -27,6 +27,8 @@ import hmac
 import struct
 from dataclasses import dataclass
 
+from . import trust_math
+
 FIXED_POINT_SCALE = 10000
 VERSION = 1
 HEADER_LEN = 30
@@ -299,7 +301,6 @@ def decode_certificate(data: bytes) -> GroupTrustCertificate:
 
 def _recompute_group_trust_raw(responses: tuple[CertResponse, ...],
                                threshold: float) -> int:
-    from . import trust_math
     obs = [
         trust_math.MaliciousnessObservation(
             respondent=r.respondent,
@@ -338,15 +339,12 @@ def build_certificate(subject: int, issuer: int, issued_at_ms: int,
     )
 
 
-def verify_group_certificate(cert: GroupTrustCertificate,
-                             expected_respondents: set[int] | None,
-                             threshold: float,
+def verify_group_certificate(cert: GroupTrustCertificate, threshold: float,
                              authority: Authority) -> Verdict:
     """Check a certificate end to end; return the first failing check.
 
-    expected_respondents is the caller's own knowledge of who took part;
-    pass None to skip the set-equality check (a third party that was not
-    a respondent cannot know the full set).
+    Omitted feedback (``DROPPED_FEEDBACK``) is not checked here: only a
+    respondent knows its response is missing, so the node decides it.
     """
     for r in cert.responses:
         signed = response_sign_bytes(cert.subject, r.respondent,
@@ -354,9 +352,6 @@ def verify_group_certificate(cert: GroupTrustCertificate,
                                      cert.challenge_nonce)
         if not authority.verify_node(r.respondent, signed, r.tag):
             return Verdict.TAMPERED_RESPONSE
-    if expected_respondents is not None:
-        if set(cert.respondent_ids()) != set(expected_respondents):
-            return Verdict.DROPPED_FEEDBACK
     expected_raw = _recompute_group_trust_raw(cert.responses, threshold)
     if abs(expected_raw - cert.group_trust_raw) > 1:
         return Verdict.WRONG_GROUP_TRUST

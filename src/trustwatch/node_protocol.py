@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import random
 import struct
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import messages, trust_math
 from .messages import (
@@ -66,6 +67,36 @@ class ProtocolParams:
     def replay_window_ms(self) -> int:
         return 2 * self.exchange_interval_ms
 
+    def suspects(self, m: float, n: int) -> bool:
+        """The watchdog rule, on a window's ``rate``: enough samples, and
+        more than the threshold of them bad."""
+        return n >= self.min_samples and m > self.monitor_threshold
+
+
+class MonitorWindow:
+    """Time-ordered (t, bad) samples of one neighbor's forwarding over the
+    last ``span`` ms, with a running count of the bad ones."""
+
+    def __init__(self, span: int):
+        self.span = span
+        self.samples: deque[tuple[int, bool]] = deque()
+        self.bad = 0
+
+    def add(self, t: int, outcome: int) -> tuple[float, int]:
+        """Append a sample taken at t, the newest so far; return rate(t)."""
+        bad = outcome != OUTCOME_OK
+        self.samples.append((t, bad))
+        self.bad += bad
+        return self.rate(t)
+
+    def rate(self, now: int) -> tuple[float, int]:
+        """(bad / n, n) over the samples with t >= now - span."""
+        samples, horizon = self.samples, now - self.span
+        while samples and samples[0][0] < horizon:
+            self.bad -= samples.popleft()[1]
+        n = len(samples)
+        return (self.bad / n if n else 0.0), n
+
 
 @dataclass
 class Outgoing:
@@ -109,6 +140,12 @@ class AlarmState:
     votes: dict[int, tuple[bool, bytes]] = field(default_factory=dict)
 
 
+# message type -> name of its handler method, looked up on the node at call
+# time so that a wrapper installed on the class is the one called
+_HANDLERS = {t: f"_on_{t.name.lower()}" for t in RepMessType
+             if t not in (RepMessType.REP_REQUEST, RepMessType.CERT_EXCHANGE)}
+
+
 def vote_sign_bytes(subject: int, raiser: int, voter: int,
                     alarm_nonce: int, vote: bool) -> bytes:
     return _VOTE_SIGN.pack(subject, raiser, voter, alarm_nonce, 1 if vote else 0)
@@ -129,7 +166,7 @@ class Node:
 
         self.table: dict[int, TableEntry] = {}
         self.isolated: set[int] = set()
-        self.monitor: dict[int, deque] = {}
+        self.monitor = defaultdict(partial(MonitorWindow, params.monitor_window_ms))
         self.last_contact_ms: dict[int, int] = {}
 
         self.challenges: dict[int, AccuserChallenge] = {}
@@ -182,32 +219,15 @@ class Node:
         if subject not in self.neighbors:
             return []
         self.note_contact(subject, now)
-        window = self.monitor.setdefault(subject, deque())
-        window.append((now, outcome))
-        self._prune_window(window, now)
-        m, denom = self._window_maliciousness(subject, now)
-        if denom < self.params.min_samples or m <= self.params.monitor_threshold:
-            return []
-        if subject in self.isolated:
+        m, denom = self.monitor[subject].add(now, outcome)
+        if not self.params.suspects(m, denom) or subject in self.isolated:
             return []
         self._log(now, "suspicion", subject, f"m={m:.4f} n={denom}")
         return self.initiate_challenge(subject, now)
 
-    def _prune_window(self, window: deque, now: int) -> None:
-        horizon = now - self.params.monitor_window_ms
-        while window and window[0][0] < horizon:
-            window.popleft()
-
     def _window_maliciousness(self, subject: int, now: int) -> tuple[float, int]:
         window = self.monitor.get(subject)
-        if not window:
-            return 0.0, 0
-        self._prune_window(window, now)
-        denom = len(window)
-        if denom == 0:
-            return 0.0, 0
-        bad = sum(1 for _, outcome in window if outcome != OUTCOME_OK)
-        return bad / denom, denom
+        return (0.0, 0) if window is None else window.rate(now)
 
     # --- challenge (accuser side) ----------------------------------------
 
@@ -249,22 +269,10 @@ class Node:
         self.seen_nonces.add(replay_key)
         self.note_contact(header.sender, now)
 
-        mtype = RepMessType(header.mess_type)
-        if mtype == RepMessType.CHALLENGE:
-            return self._on_challenge(header, payload, now)
-        if mtype == RepMessType.CHALLENGE_ACK:
-            return self._on_challenge_ack(header, payload, now)
-        if mtype == RepMessType.VERIFY_BEHAVIOR:
-            return self._on_verify_behavior(header, payload, now)
-        if mtype == RepMessType.REP_RESPONSE:
-            return self._on_rep_response(header, payload, now)
-        if mtype == RepMessType.REP_BROADCAST:
-            return self._on_rep_broadcast(header, payload, now)
-        if mtype == RepMessType.GLOBAL_ALARM:
-            return self._on_global_alarm(header, payload, now)
-        if mtype == RepMessType.ALARM_VOTE:
-            return self._on_alarm_vote(header, payload, now)
-        return []
+        handler = _HANDLERS.get(header.mess_type)
+        if handler is None:
+            return []
+        return getattr(self, handler)(header, payload, now)
 
     # --- challenge (accused side) ----------------------------------------
 
@@ -402,7 +410,7 @@ class Node:
             return []
 
         verdict = messages.verify_group_certificate(
-            cert, None, self.params.maliciousness_threshold, self.authority)
+            cert, self.params.maliciousness_threshold, self.authority)
         if verdict is Verdict.VALID and \
                 (cert.subject, cert.challenge_nonce) in self.responded and \
                 self.node_id not in cert.respondent_ids():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .messages import Authority
+from . import messages
 from .node_protocol import (
     OUTCOME_DROP,
     OUTCOME_MODIFIED,
@@ -189,9 +189,10 @@ class AdversaryNode(Node):
     def _select_responses(self, responses: list[CertResponse]) -> list[CertResponse]:
         if not self.profile.drops_feedback_in_aggregate:
             return responses
-        thr_raw = int(self.params.maliciousness_threshold * 10000)
-        kept = [r for r in responses if r.maliciousness_raw < thr_raw]
-        return kept
+        # compared as group_trust splits them: a favourable response stays
+        threshold = self.params.maliciousness_threshold
+        return [r for r in responses
+                if messages.from_fixed(r.maliciousness_raw) < threshold]
 
     def shares_cache(self) -> bool:
         return not self.profile.drops_certificates
@@ -289,7 +290,7 @@ class Simulator:
 
         n = config.node_count
         self.ids = list(range(1, n + 1))
-        self.authority = Authority(secret=self.rng.randbytes(32))
+        self.authority = messages.Authority(secret=self.rng.randbytes(32))
         params = config.protocol_params()
 
         if profiles is None:
@@ -371,9 +372,9 @@ class Simulator:
         self._in_flight: Counter = Counter()
 
         # initial schedule
-        self._push(config.topology_step_ms, EV_TOPO, None)
-        self._push(config.tick_interval_ms, EV_TICK, None)
-        self._push(int(config.exchange_interval_s * 1000), EV_EXCHANGE, None)
+        self._push(config.topology_step_ms, EV_TOPO)
+        self._push(config.tick_interval_ms, EV_TICK)
+        self._push(int(config.exchange_interval_s * 1000), EV_EXCHANGE)
         period = max(1, int(1000 / config.flow_rate_pps))
         for fid in self.flows:
             start = self.rng.randrange(period)
@@ -403,9 +404,15 @@ class Simulator:
 
     # --- event queue ------------------------------------------------------
 
-    def _push(self, t: int, kind: str, data) -> None:
+    def _push(self, t: int, kind: str, *args) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (t, self._seq, kind, data))
+        heapq.heappush(self._queue, (t, self._seq, kind, args))
+
+    def _repeat(self, period: int, kind: str, *args) -> None:
+        """Queue the next periodic event ``period`` ms from now, unless it
+        falls after the end of the run."""
+        if self.now + period <= self.duration_ms:
+            self._push(self.now + period, kind, *args)
 
     # --- mobility and topology -------------------------------------------
 
@@ -438,6 +445,11 @@ class Simulator:
         # pause over: pick a fresh waypoint and speed
         for i in np.flatnonzero((~paused) & at_waypoint):
             self._new_waypoint(i)
+
+    def _handle_topology(self) -> None:
+        self._step_mobility(self.cfg.topology_step_ms / 1000.0)
+        self._recompute_topology()
+        self._repeat(self.cfg.topology_step_ms, EV_TOPO)
 
     def _recompute_topology(self, initial: bool = False) -> None:
         """Update the unit-disk graph from the current positions.
@@ -553,7 +565,7 @@ class Simulator:
             if out.dest is None:
                 for r in self.neighbors_of(src):
                     self._push(self.now + self.cfg.hop_latency_ms, EV_CTRL,
-                               (r, out.data))
+                               r, out.data)
                     self.ledger[name] += 1
                     self.ledger["ctrl_bytes"] += len(out.data)
             else:
@@ -564,9 +576,12 @@ class Simulator:
                     self.ledger["ctrl_undeliverable"] += 1
                     continue
                 self._push(self.now + hops * self.cfg.hop_latency_ms, EV_CTRL,
-                           (out.dest, out.data))
+                           out.dest, out.data)
                 self.ledger[name] += 1
                 self.ledger["ctrl_bytes"] += len(out.data) * hops
+
+    def _handle_ctrl(self, dest: int, frame: bytes) -> None:
+        self._emit(dest, self.nodes[dest].receive(frame, self.now))
 
     def _hop_distance(self, src: int, dst: int) -> int | None:
         """Hops on a shortest path from src to dst, or None if there is
@@ -605,11 +620,8 @@ class Simulator:
             self.ledger["pb_bytes"] += _KEY_BYTES * len(src_node.piggyback_keys())
             src_node.note_contact(packet.route[1], self.now)
             self._push(self.now + self.cfg.hop_latency_ms, EV_ARRIVE,
-                       (packet.route[1], packet))
-        period = max(1, int(1000 / self.cfg.flow_rate_pps))
-        nxt = self.now + period
-        if nxt <= self.duration_ms:
-            self._push(nxt, EV_FLOW, fid)
+                       packet.route[1], packet)
+        self._repeat(max(1, int(1000 / self.cfg.flow_rate_pps)), EV_FLOW, fid)
 
     def _drop_packet(self, packet: DataPacket, reason: str,
                      at: int, observed: bool) -> None:
@@ -679,7 +691,7 @@ class Simulator:
         packet.hop_index += 1
         self.nodes[nid].note_contact(next_hop, self.now)
         self._push(self.now + self.cfg.hop_latency_ms, EV_ARRIVE,
-                   (next_hop, packet))
+                   next_hop, packet)
 
     # --- periodic machinery ----------------------------------------------
 
@@ -689,9 +701,7 @@ class Simulator:
         within = self._pair_within
         for i, j in zip(self._pair_i[within].tolist(), self._pair_j[within].tolist()):
             self._exchange_pair(i + 1, j + 1)
-        nxt = self.now + int(self.cfg.exchange_interval_s * 1000)
-        if nxt <= self.duration_ms:
-            self._push(nxt, EV_EXCHANGE, None)
+        self._repeat(int(self.cfg.exchange_interval_s * 1000), EV_EXCHANGE)
 
     def _exchange_pair(self, a: int, b: int) -> None:
         na, nb = self.nodes[a], self.nodes[b]
@@ -703,18 +713,15 @@ class Simulator:
         keys_b = set(nb.cache_keys()) if nb.shares_cache() else set()
         self.ledger["msgs_exchange"] += 2
         self.ledger["ctrl_bytes"] += _KEY_BYTES * (len(keys_a) + len(keys_b))
-        for key in sorted(keys_a - keys_b):
-            data = na.outgoing_cache_bytes(key)
-            if data is not None:
-                self.ledger["msgs_exchange"] += 1
-                self.ledger["ctrl_bytes"] += len(data)
-                self._emit(b, nb.receive_exchanged_cert(data, a, self.now))
-        for key in sorted(keys_b - keys_a):
-            data = nb.outgoing_cache_bytes(key)
-            if data is not None:
-                self.ledger["msgs_exchange"] += 1
-                self.ledger["ctrl_bytes"] += len(data)
-                self._emit(a, na.receive_exchanged_cert(data, b, self.now))
+        # a's certificates that b lacks go first, then b's that a lacks
+        for src, dst, keys in ((a, b, keys_a - keys_b), (b, a, keys_b - keys_a)):
+            for key in sorted(keys):
+                data = self.nodes[src].outgoing_cache_bytes(key)
+                if data is not None:
+                    self.ledger["msgs_exchange"] += 1
+                    self.ledger["ctrl_bytes"] += len(data)
+                    self._emit(dst, self.nodes[dst].receive_exchanged_cert(
+                        data, src, self.now))
         for key in sorted(keys_a & keys_b):
             ca, cb = na.outgoing_cache_bytes(key), nb.outgoing_cache_bytes(key)
             if ca == cb or ca is None or cb is None:
@@ -728,21 +735,18 @@ class Simulator:
                 na.cache_replace(key, cb)
 
     def _cert_bytes_valid(self, data: bytes) -> bool:
-        from . import messages
         try:
             cert = messages.decode_certificate(data)
         except messages.MessageError:
             return False
         verdict = messages.verify_group_certificate(
-            cert, None, self.cfg.maliciousness_threshold, self.authority)
+            cert, self.cfg.maliciousness_threshold, self.authority)
         return verdict is messages.Verdict.VALID
 
     def _handle_tick(self) -> None:
         for nid in self.ids:
             self._emit(nid, self.nodes[nid].tick(self.now))
-        nxt = self.now + self.cfg.tick_interval_ms
-        if nxt <= self.duration_ms:
-            self._push(nxt, EV_TICK, None)
+        self._repeat(self.cfg.tick_interval_ms, EV_TICK)
 
     def _handle_accuse(self, nid: int) -> None:
         node = self.nodes[nid]
@@ -752,48 +756,32 @@ class Simulator:
             self._log("false_accusation", nid, victim, "")
             self._emit(nid, node.initiate_challenge(victim, self.now))
             self._emit(nid, node.raise_global_alarm(victim, self.now))
-        nxt = self.now + 60_000
-        if nxt <= self.duration_ms:
-            self._push(nxt, EV_ACCUSE, nid)
+        self._repeat(60_000, EV_ACCUSE, nid)
 
     # --- main loop --------------------------------------------------------
 
     def run(self) -> SimResult:
+        # bound per run: wrappers put on the class after __init__ are called
+        handlers = {
+            EV_TOPO: self._handle_topology, EV_FLOW: self._handle_flow,
+            EV_ARRIVE: self._handle_arrive, EV_SERVICE: self._handle_service,
+            EV_CTRL: self._handle_ctrl, EV_TICK: self._handle_tick,
+            EV_EXCHANGE: self._handle_exchange, EV_ACCUSE: self._handle_accuse,
+        }
         while self._queue:
-            t, _, kind, data = heapq.heappop(self._queue)
+            t, _, kind, args = heapq.heappop(self._queue)
             if t > self.duration_ms:
                 break
             self.now = t
-            if kind == EV_TOPO:
-                self._step_mobility(self.cfg.topology_step_ms / 1000.0)
-                self._recompute_topology()
-                nxt = t + self.cfg.topology_step_ms
-                if nxt <= self.duration_ms:
-                    self._push(nxt, EV_TOPO, None)
-            elif kind == EV_FLOW:
-                self._handle_flow(data)
-            elif kind == EV_ARRIVE:
-                nid, packet = data
-                self._handle_arrive(nid, packet)
-            elif kind == EV_SERVICE:
-                self._handle_service(data)
-            elif kind == EV_CTRL:
-                dest, frame = data
-                self._emit(dest, self.nodes[dest].receive(frame, self.now))
-            elif kind == EV_TICK:
-                self._handle_tick()
-            elif kind == EV_EXCHANGE:
-                self._handle_exchange()
-            elif kind == EV_ACCUSE:
-                self._handle_accuse(data)
+            handlers[kind](*args)
 
         for nid, buffer in self.buffers.items():
             for packet in buffer:
                 self.flow_counters[packet.flow_id]["in_buffer"] += 1
                 self._in_flight[packet.flow_id] -= 1
-        for _, _, kind, data in self._queue:
+        for _, _, kind, args in self._queue:
             if kind == EV_ARRIVE:
-                _, packet = data
+                _, packet = args
                 self.flow_counters[packet.flow_id]["in_flight"] += 1
                 self._in_flight[packet.flow_id] -= 1
 

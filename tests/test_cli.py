@@ -82,3 +82,37 @@ def test_replay_runs_loc_baseline(tmp_path, scenario_file, capsys):
                "--scenario", str(scenario_file)])
     assert rc == 0
     assert "LOC alarms:" in capsys.readouterr().out
+
+
+def _sweep(tmp_path, lines):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("variable = max_speed\n" + lines + "node_count = 10\n"
+                    "flow_count = 3\nmalicious_count = 1\nduration_s = 10\n")
+    return ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]
+
+
+def _replay(tmp_path, lines):
+    log = tmp_path / "events.log"
+    log.write_text("100 monitor_obs 1 2 0\n" + lines)
+    return ["replay", "--log", str(log)]
+
+
+def _seeded_run(tmp_path, lines):
+    return ["run", "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("argv,text,env", [
+    (_sweep, "values = 5, ten\nrepetitions = 1\n", None),
+    (_sweep, "values = 5\nrepetitions = two\n", None),
+    (_replay, "1x0 monitor_obs 1 2 1\n", None),
+    (_seeded_run, "", "abc"),
+], ids=["sweep-values", "sweep-repetitions", "replay-line", "seed-env"])
+def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
+                                     text, env):
+    if env is not None:
+        monkeypatch.setenv("TRUSTWATCH_SEED", env)
+    assert main(argv(tmp_path, text)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if argv is _replay:
+        assert "line 2" in err

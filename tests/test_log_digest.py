@@ -1,19 +1,26 @@
-"""Byte-identity gate: the first scenario of every benchmark workload at
-seed 1 (scenario seed 1000) must reproduce both digests recorded in
+"""Benchmark gates.
+
+Byte identity: the first scenario of every benchmark workload at seed 1
+(scenario seed 1000) must reproduce both digests recorded in
 ``bench/expected.json``: the ``render_log()`` SHA-256 and the outcome
 digest, which also covers the overhead ledger that the log does not show.
 A change that alters simulated behaviour fails here; one that is meant to
-must re-record the benchmark's expected outputs (``bench/run.py --record``)."""
+must re-record the benchmark's expected outputs (``bench/run.py --record``).
+
+Tracing: every function ``bench/tracing.py`` wraps must exist, because a
+missing one is skipped silently and its metrics read 0."""
 
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trustwatch import harness
-from trustwatch.sim import Simulator
+from trustwatch import harness, messages
+from trustwatch.node_protocol import Node
+from trustwatch.sim import ScenarioConfig, Simulator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 1
@@ -40,3 +47,26 @@ def test_log_digest_matches_benchmark_record(workload):
     assert checks.log_digest(result.render_log()) == want["log"]
     assert checks.outcome_digest(result, harness.compute_metrics(result)) \
         == want["outcome"]
+
+
+def test_every_traced_function_exists_and_wrappers_see_the_run(monkeypatch):
+    tracer = bench_module("tracing").Tracer()
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _ in tracer._targets(messages.decode_rep_mess)
+               if vars(owner).get(attr) is None]
+    assert missing == []
+    # the tracer wraps after the simulator is built: both event dispatch
+    # and message dispatch must reach a class-level wrapper installed then
+    simulator = Simulator(ScenarioConfig(
+        node_count=8, area_width_m=40.0, area_height_m=40.0, flow_count=2,
+        malicious_count=1, adv_false_accuser=True, duration_s=40.0,
+        rng_seed=1))
+    calls = Counter()
+    for owner, attr in ((Simulator, "_handle_tick"), (Node, "_on_global_alarm")):
+        def wrapper(*args, _fn=vars(owner)[attr], _attr=attr):
+            calls[_attr] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+    simulator.run()
+    assert calls["_handle_tick"] > 0
+    assert calls["_on_global_alarm"] > 0

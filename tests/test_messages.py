@@ -223,10 +223,7 @@ def test_certificate_canonical_response_order(authority):
 
 def test_certificate_valid(authority):
     cert = make_cert(authority)
-    assert verify_group_certificate(cert, {1, 2, 3}, THRESHOLD,
-                                    authority) is Verdict.VALID
-    assert verify_group_certificate(cert, None, THRESHOLD,
-                                    authority) is Verdict.VALID
+    assert verify_group_certificate(cert, THRESHOLD, authority) is Verdict.VALID
 
 
 def test_certificate_tampered_response(authority):
@@ -240,14 +237,8 @@ def test_certificate_tampered_response(authority):
         group_trust_raw=cert.group_trust_raw,
         responses=(forged,) + cert.responses[1:],
         certificate_tag=cert.certificate_tag)
-    assert verify_group_certificate(bad, {1, 2, 3}, THRESHOLD,
+    assert verify_group_certificate(bad, THRESHOLD,
                                     authority) is Verdict.TAMPERED_RESPONSE
-
-
-def test_certificate_dropped_feedback(authority):
-    cert = make_cert(authority, respondents=(1, 2), ms=(0.0, 0.0))
-    assert verify_group_certificate(cert, {1, 2, 3}, THRESHOLD,
-                                    authority) is Verdict.DROPPED_FEEDBACK
 
 
 def test_certificate_wrong_group_trust(authority):
@@ -263,7 +254,7 @@ def test_certificate_wrong_group_trust(authority):
                 challenge_nonce=cert.challenge_nonce,
                 group_trust_raw=to_fixed(1.0), responses=cert.responses,
                 certificate_tag=b"")), bytes([cert.issuer]) * 16))
-    assert verify_group_certificate(lied, {1, 2, 3}, THRESHOLD,
+    assert verify_group_certificate(lied, THRESHOLD,
                                     authority) is Verdict.WRONG_GROUP_TRUST
 
 
@@ -272,7 +263,7 @@ def test_certificate_bad_issuer_tag(authority):
     data = bytearray(encode_certificate(cert))
     data[-1] ^= 0xFF
     back = decode_certificate(bytes(data))
-    assert verify_group_certificate(back, {1, 2, 3}, THRESHOLD,
+    assert verify_group_certificate(back, THRESHOLD,
                                     authority) is Verdict.BAD_ISSUER_TAG
 
 
@@ -286,7 +277,7 @@ def test_certificate_any_body_mutation_rejected(authority):
             back = decode_certificate(bytes(mutated))
         except messages.MessageError:
             continue
-        assert verify_group_certificate(back, {1, 2, 3}, THRESHOLD,
+        assert verify_group_certificate(back, THRESHOLD,
                                         authority) is not Verdict.VALID
 
 

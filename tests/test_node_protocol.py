@@ -25,10 +25,12 @@ from trustwatch.messages import (
 )
 from trustwatch.node_protocol import (
     OUTCOME_DROP,
+    OUTCOME_MODIFIED,
     OUTCOME_OK,
     _ALARM_PAYLOAD,
     _RESP_PAYLOAD,
     _VOTE_RECORD,
+    MonitorWindow,
     Node,
     ProtocolParams,
     vote_sign_bytes,
@@ -119,6 +121,32 @@ def make_cert(subject, respondents, ms, nonce, at_ms, issuer=None, ws=None):
     return build_certificate(subject=subject, issuer=issuer, issued_at_ms=at_ms,
                              challenge_nonce=nonce, responses=responses,
                              threshold=THRESHOLD, issuer_secret=secret_for(issuer))
+
+
+# --- watchdog window ------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(span=st.integers(0, 6),
+       ops=st.lists(st.tuples(st.integers(0, 3),
+                              st.sampled_from([None, OUTCOME_OK, OUTCOME_DROP,
+                                               OUTCOME_MODIFIED])),
+                    max_size=60))
+def test_monitor_window_rate_matches_a_fresh_recount(span, ops):
+    """Samples arrive in time order and queries never go back in time; each
+    add (outcome) and query (None) must equal a recount over the samples
+    with t >= now - span. Small steps and spans put many samples exactly
+    on the horizon."""
+    window, samples, now = MonitorWindow(span), [], 0
+    for step, outcome in ops:
+        now += step
+        if outcome is None:
+            got = window.rate(now)
+        else:
+            samples.append((now, outcome))
+            got = window.add(now, outcome)
+        live = [o for t, o in samples if t >= now - span]
+        bad = sum(1 for o in live if o != OUTCOME_OK)
+        assert got == ((bad / len(live) if live else 0.0), len(live))
 
 
 # --- challenge / certificate flow ----------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustwatch import harness, messages
+from trustwatch import harness, messages, trust_math
 from trustwatch.sim import (
     PRESETS,
     AdversaryProfile,
@@ -305,6 +305,24 @@ def test_explicit_profiles_override_malicious_sampling():
     profiles = {3: AdversaryProfile(drop_prob=1.0)}
     sim = Simulator(small_config(), profiles=profiles)
     assert sim.malicious == {3}
+
+
+def test_feedback_dropper_drops_exactly_what_group_trust_calls_adverse():
+    # 0.57 * 10000 truncates to 5699, which used to drop raw 5699 as well
+    threshold = 0.57
+    sim = Simulator(small_config(maliciousness_threshold=threshold),
+                    profiles={1: AdversaryProfile(drops_feedback_in_aggregate=True)})
+    responses = [messages.CertResponse(2, 5699, 10000, b""),
+                 messages.CertResponse(3, 5700, 10000, b"")]
+    kept = sim.nodes[1]._select_responses(responses)
+    assert [r.maliciousness_raw for r in kept] == [5699]
+    # group_trust splits the same two: 5699 low (a one-one tie goes low)
+    group = trust_math.group_trust(
+        [trust_math.MaliciousnessObservation(
+            r.respondent, messages.from_fixed(r.maliciousness_raw))
+         for r in responses], threshold)
+    assert [o.respondent for o in group.majority] == [2]
+    assert not group.majority_adverse
 
 
 def test_log_is_time_ordered():

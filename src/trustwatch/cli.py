@@ -92,12 +92,16 @@ def cmd_replay(args) -> int:
         parts = line.split(" ", 4)
         if len(parts) < 4:
             continue
+        detail = parts[4] if len(parts) > 4 else ""
         try:
             records.append((int(parts[0]), parts[1], int(parts[2]),
-                            int(parts[3]), parts[4] if len(parts) > 4 else ""))
+                            int(parts[3]), detail))
+            if parts[1] == "monitor_obs":
+                int(detail)  # the outcome the LOC baseline replays
         except ValueError:
-            raise ConfigInvalid([f"{args.log} line {lineno}: time, actor and "
-                                 f"subject must be integers: {line!r}"])
+            raise ConfigInvalid([f"{args.log} line {lineno}: time, actor, "
+                                 f"subject and a monitor_obs outcome must be "
+                                 f"integers: {line!r}"])
     if args.baseline != "loc":
         print(f"unknown baseline {args.baseline!r}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
+from itertools import islice
 
 from . import trust_math
 
@@ -36,6 +37,10 @@ TAG_LEN = 32
 MIN_FRAME_LEN = HEADER_LEN + TAG_LEN
 MAX_PAYLOAD = 65535
 AUTHORITY_ID = 0
+# entries each memo of an Authority holds at most
+TAG_MEMO_SIZE = 2048
+FRAME_MEMO_SIZE = 1024
+CERT_MEMO_SIZE = 256
 
 _HEADER = struct.Struct(">BBIHQQIH")
 
@@ -122,18 +127,34 @@ class Authority:
     """Simulated certifying authority and public directory.
 
     Holds the secret-to-binding registry used to check authenticity tags
-    (the simulator's stand-in for public-key verification). Written only
-    during the single-threaded bootstrap phase.
+    (the simulator's stand-in for public-key verification), and three
+    memos over it that every node of one simulation shares:
+
+    - ``verify_node`` results, keyed on (binding, message bytes, tag);
+    - ``open_frame`` results, keyed on the frame bytes;
+    - ``open_certificate`` results, keyed on the certificate bytes.
+
+    Each is a pure function of its key and the registry, and a broadcast
+    hands the same bytes to every neighbor, so each distinct input is
+    decoded or checked once. A memo holds at most its ``*_MEMO_SIZE``
+    entries and drops its oldest ones first. ``register_secret`` and
+    ``enroll`` clear all three; decode failures are never memoized.
     """
 
     def __init__(self, secret: bytes = b"\x00" * 32):
         self._secrets_by_binding: dict[bytes, bytes] = {}
         self._binding_by_node: dict[int, bytes] = {}
+        self._tags: dict[tuple[bytes, bytes, bytes], bool] = {}
+        self._frames: dict[bytes, tuple[ReputationHeader, bytes, bool]] = {}
+        self._certs: dict[bytes, GroupTrustCertificate] = {}
         self._binding_by_node[AUTHORITY_ID] = self.register_secret(secret)
 
     def register_secret(self, secret: bytes) -> bytes:
         binding = binding_of(secret)
         self._secrets_by_binding[binding] = secret
+        self._tags.clear()
+        self._frames.clear()
+        self._certs.clear()
         return binding
 
     def enroll(self, node_id: int, secret: bytes) -> bytes:
@@ -156,10 +177,52 @@ class Authority:
         return hmac.compare_digest(tag(message_bytes, secret), tag_)
 
     def verify_node(self, node_id: int, message_bytes: bytes, tag_: bytes) -> bool:
+        """True if ``tag_`` is node_id's tag over ``message_bytes``; False
+        for a node with no binding."""
         binding = self._binding_by_node.get(node_id)
         if binding is None:
             return False
-        return self.verify_tag(message_bytes, tag_, binding)
+        key = (binding, bytes(message_bytes), bytes(tag_))
+        ok = self._tags.get(key)
+        if ok is None:
+            ok = _remember(self._tags, key,
+                           self.verify_tag(key[1], key[2], binding), TAG_MEMO_SIZE)
+        return ok
+
+    def open_frame(self, data: bytes) -> tuple[ReputationHeader, bytes, bool]:
+        """(header, payload, tag_ok) of a frame: ``decode_rep_mess`` and
+        whether the tag verifies against the sender's binding. Raises what
+        ``decode_rep_mess`` raises. The tag is checked past the tag memo,
+        whose entries the frame memo's own would only crowd out."""
+        opened = self._frames.get(data)
+        if opened is None:
+            header, payload, frame_tag = decode_rep_mess(data)
+            binding = self._binding_by_node.get(header.sender)
+            ok = binding is not None and \
+                self.verify_tag(data[:-TAG_LEN], frame_tag, binding)
+            opened = _remember(self._frames, data, (header, payload, ok),
+                               FRAME_MEMO_SIZE)
+        return opened
+
+    def open_certificate(self, data: bytes) -> GroupTrustCertificate:
+        """``decode_certificate(data)``, raising what it raises."""
+        cert = self._certs.get(data)
+        if cert is None:
+            cert = _remember(self._certs, data, decode_certificate(data),
+                             CERT_MEMO_SIZE)
+        return cert
+
+
+def _remember(memo: dict, key, value, bound: int):
+    """Store key -> value in a memo of at most ``bound`` entries and return
+    value. A full memo first drops its oldest quarter in insertion order:
+    finding a dict's oldest entry walks the slots freed before it, so one
+    entry at a time would cost O(bound) per store."""
+    if len(memo) >= bound:
+        for old in list(islice(memo, max(1, bound // 4))):
+            del memo[old]
+    memo[key] = value
+    return value
 
 
 def encode_rep_mess(header: ReputationHeader, payload: bytes,

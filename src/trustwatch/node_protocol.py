@@ -98,6 +98,38 @@ class MonitorWindow:
         return (self.bad / n if n else 0.0), n
 
 
+class ReplayFilter:
+    """(sender, nonce) keys of received frames, kept in two generations.
+
+    ``rotate`` drops the older generation and starts a new one once
+    ``span`` ms have passed since the last rotation, so a key is kept for
+    at least ``span`` ms after it was added. A node stamps a frame when it
+    sends it, so a copy arriving after its key was dropped is more than
+    ``span`` ms old and fails the timestamp check before this one. (Only
+    the signer can stamp a frame in the future, and a signer can as well
+    sign a fresh frame.)"""
+
+    def __init__(self, span: int):
+        self.span = span
+        self.rotated_ms = 0
+        self.current: set[tuple[int, int]] = set()
+        self.previous: set[tuple[int, int]] = set()
+
+    def __contains__(self, key: tuple[int, int]) -> bool:
+        return key in self.current or key in self.previous
+
+    def __len__(self) -> int:
+        return len(self.current) + len(self.previous)
+
+    def add(self, key: tuple[int, int]) -> None:
+        self.current.add(key)
+
+    def rotate(self, now: int) -> None:
+        if now - self.rotated_ms >= self.span:
+            self.previous, self.current = self.current, set()
+            self.rotated_ms = now
+
+
 @dataclass
 class Outgoing:
     """A frame the node wants delivered. dest None means broadcast to the
@@ -182,7 +214,7 @@ class Node:
         self.alarmed: set[int] = set()  # subjects this node raised an alarm on
         self.last_alarm_seen_ms: dict[int, int] = {}
         self.flood_seen: set[tuple] = set()
-        self.seen_nonces: set[tuple[int, int]] = set()
+        self.seen_nonces = ReplayFilter(params.replay_window_ms)
 
         # hooks the simulator wires up
         self.on_event = None          # fn(now_ms, kind, subject, detail)
@@ -253,12 +285,11 @@ class Node:
 
     def receive(self, data: bytes, now: int) -> list[Outgoing]:
         try:
-            header, payload, frame_tag = messages.decode_rep_mess(data)
+            header, payload, tag_ok = self.authority.open_frame(bytes(data))
         except messages.MessageError as exc:
             self._log(now, "bad_frame", 0, type(exc).__name__)
             return []
-        if not self.authority.verify_node(header.sender, data[:-messages.TAG_LEN],
-                                          frame_tag):
+        if not tag_ok:
             self._log(now, "bad_tag", header.sender, "")
             return []
         if now - header.timestamp_ms > self.params.replay_window_ms:
@@ -396,21 +427,23 @@ class Node:
     def handle_certificate(self, cert_bytes: bytes, now: int, *, cache: bool,
                            from_node: int) -> list[Outgoing]:
         try:
-            cert = messages.decode_certificate(cert_bytes)
+            cert = self.authority.open_certificate(cert_bytes)
         except messages.MessageError as exc:
             self._log(now, "cert_malformed", 0, type(exc).__name__)
             return []
         if cert.subject == self.node_id:
             return []
         key = cert.key()
+        threshold = self.params.maliciousness_threshold
         if key in self.processed_certs:
-            # identical certificate seen before: table already reflects it
-            if cache and key not in self.cache:
+            # the table already reflects a certificate with this key, but
+            # these bytes need not be the ones checked then
+            if cache and key not in self.cache and messages.verify_group_certificate(
+                    cert, threshold, self.authority) is Verdict.VALID:
                 self._cache_put(key, cert_bytes, now)
             return []
 
-        verdict = messages.verify_group_certificate(
-            cert, self.params.maliciousness_threshold, self.authority)
+        verdict = messages.verify_group_certificate(cert, threshold, self.authority)
         if verdict is Verdict.VALID and \
                 (cert.subject, cert.challenge_nonce) in self.responded and \
                 self.node_id not in cert.respondent_ids():
@@ -440,7 +473,7 @@ class Node:
         ]
         a1, adverse = 0.0, False
         if obs:
-            group = trust_math.group_trust(obs, self.params.maliciousness_threshold)
+            group = trust_math.group_trust(obs, threshold)
             a1 = trust_math.alpha1(group.majority, sum(o.weight for o in obs))
             adverse = group.majority_adverse
         b = trust_math.beta(a1, self.params.alpha2, a3)
@@ -654,11 +687,7 @@ class Node:
                 continue
             vote = vote_byte == 1
             signed = vote_sign_bytes(subject, raiser, voter, alarm_nonce, vote)
-            try:
-                ok = self.authority.verify_node(voter, signed, vtag)
-            except messages.UnknownBinding:
-                ok = False
-            if not ok:
+            if not self.authority.verify_node(voter, signed, vtag):
                 continue
             seen_voters.add(voter)
             total += 1
@@ -676,6 +705,7 @@ class Node:
     # --- timers -----------------------------------------------------------
 
     def tick(self, now: int) -> list[Outgoing]:
+        self.seen_nonces.rotate(now)
         out: list[Outgoing] = []
         for subject in list(self.challenges):
             state = self.challenges[subject]

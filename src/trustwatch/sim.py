@@ -736,7 +736,7 @@ class Simulator:
 
     def _cert_bytes_valid(self, data: bytes) -> bool:
         try:
-            cert = messages.decode_certificate(data)
+            cert = self.authority.open_certificate(data)
         except messages.MessageError:
             return False
         verdict = messages.verify_group_certificate(

@@ -105,8 +105,10 @@ def _seeded_run(tmp_path, lines):
     (_sweep, "values = 5, ten\nrepetitions = 1\n", None),
     (_sweep, "values = 5\nrepetitions = two\n", None),
     (_replay, "1x0 monitor_obs 1 2 1\n", None),
+    (_replay, "100 monitor_obs 1 2 x\n", None),
     (_seeded_run, "", "abc"),
-], ids=["sweep-values", "sweep-repetitions", "replay-line", "seed-env"])
+], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
+        "seed-env"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:
@@ -115,4 +117,4 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     if argv is _replay:
-        assert "line 2" in err
+        assert f"{tmp_path / 'events.log'} line 2" in err

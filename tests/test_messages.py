@@ -1,5 +1,6 @@
 """Wire codec, identity registry, and certificate verification."""
 
+import hmac
 import random
 import time
 
@@ -16,6 +17,7 @@ from trustwatch.messages import (
     Authority,
     BadVersion,
     CertResponse,
+    GroupTrustCertificate,
     LengthMismatch,
     RepMessType,
     RepValOverflow,
@@ -25,6 +27,7 @@ from trustwatch.messages import (
     UnknownType,
     Verdict,
     build_certificate,
+    certificate_body_bytes,
     decode_certificate,
     decode_rep_mess,
     encode_certificate,
@@ -35,6 +38,7 @@ from trustwatch.messages import (
     to_fixed,
     verify_group_certificate,
 )
+from trustwatch.node_protocol import Node, ProtocolParams
 
 THRESHOLD = 0.5
 
@@ -204,6 +208,89 @@ def test_authority_tag_verification(authority):
 def test_authority_unknown_binding_raises(authority):
     with pytest.raises(UnknownBinding):
         authority.verify_tag(b"x", b"y" * TAG_LEN, b"nope" * 8)
+
+
+# --- the authority's memos ------------------------------------------------
+
+SIGNERS = {nid: bytes([nid]) * 16 for nid in range(1, 5)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(checks=st.lists(
+    st.tuples(st.sampled_from(sorted(SIGNERS)), st.sampled_from(sorted(SIGNERS)),
+              st.binary(max_size=48),
+              st.binary(min_size=TAG_LEN, max_size=TAG_LEN), st.booleans()),
+    min_size=1, max_size=12))
+def test_memoized_verify_node_equals_a_fresh_check(checks):
+    """Each check tags a body as ``signer`` and asks whether it is
+    ``node``'s tag, with a forged tag after the valid one has become a
+    memo hit, or a valid tag after the forged one's failure was memoized.
+    Bodies drawn twice hit entries of earlier checks too."""
+    auth = Authority()
+    for nid, secret in SIGNERS.items():
+        auth.enroll(nid, secret)
+    for node, signer, body, forged, forged_first in checks:
+        valid = tag(body, SIGNERS[signer])
+        order = (forged, valid, valid) if forged_first else (valid, valid, forged)
+        for t in order:
+            fresh = hmac.compare_digest(tag(body, SIGNERS[node]), t)
+            assert auth.verify_node(node, body, t) == fresh
+            assert auth.verify_node(node, bytearray(body), t) == fresh
+
+
+def test_reenrolling_a_node_changes_its_verdict(authority):
+    body = b"hello world"
+    old_secret, new_secret = bytes([3]) * 16, b"n" * 16
+    header = ReputationHeader(mess_type=int(RepMessType.CHALLENGE), subject=1,
+                              rep_val_raw=0, timestamp_ms=0, nonce=0, sender=3)
+    frame = encode_rep_mess(header, b"pay", old_secret)
+    assert authority.verify_node(3, body, tag(body, old_secret))
+    assert authority.open_frame(frame)[2]
+    authority.enroll(3, new_secret)
+    assert not authority.verify_node(3, body, tag(body, old_secret))
+    assert authority.verify_node(3, body, tag(body, new_secret))
+    assert not authority.open_frame(frame)[2]
+
+
+def test_memos_stay_within_their_bounds(authority):
+    secret = SIGNERS[2]
+    bounds = {"_tags": messages.TAG_MEMO_SIZE,
+              "_frames": messages.FRAME_MEMO_SIZE,
+              "_certs": messages.CERT_MEMO_SIZE}
+    peak = dict.fromkeys(bounds, 0)
+    frames = []
+    for i in range(max(bounds.values()) + 100):
+        header = ReputationHeader(mess_type=int(RepMessType.CHALLENGE),
+                                  subject=1, rep_val_raw=0, timestamp_ms=i,
+                                  nonce=i, sender=2)
+        frames.append(encode_rep_mess(header, b"", secret))
+        assert authority.open_frame(frames[-1])[2]
+        assert authority.verify_node(2, frames[-1][:-TAG_LEN], frames[-1][-TAG_LEN:])
+        body = certificate_body_bytes(GroupTrustCertificate(
+            subject=1, issuer=2, issued_at_ms=i, challenge_nonce=i,
+            group_trust_raw=FIXED_POINT_SCALE, responses=(), certificate_tag=b""))
+        assert authority.open_certificate(body + tag(body, secret)).issued_at_ms == i
+        for name in bounds:
+            peak[name] = max(peak[name], len(getattr(authority, name)))
+    assert all(0 < peak[name] <= bound for name, bound in bounds.items()), peak
+    # the oldest entries went first
+    assert frames[0] not in authority._frames
+    assert frames[-1] in authority._frames
+
+
+def test_malformed_frame_logs_bad_frame_each_time_it_is_received(authority):
+    node = Node(1, bytes([1]) * 16, authority, ProtocolParams())
+    events = []
+    node.on_event = lambda now, kind, subject, detail: events.append(
+        (kind, detail))
+    header = ReputationHeader(mess_type=int(RepMessType.CHALLENGE), subject=1,
+                              rep_val_raw=0, timestamp_ms=0, nonce=0, sender=2)
+    truncated = encode_rep_mess(header, b"pay", bytes([2]) * 16)[:-1]
+    for now in (1, 2, 3):
+        assert node.receive(truncated, now) == []
+    assert node.receive(bytearray(truncated), 4) == []
+    assert events == [("bad_frame", "LengthMismatch")] * 4
+    assert authority._frames == {}
 
 
 # --- certificates ---------------------------------------------------------

@@ -258,6 +258,26 @@ def test_tampered_certificate_rejected_and_table_untouched():
     assert len(node.cache) == 0
 
 
+def test_duplicate_key_certificate_cached_only_if_valid():
+    world = World(5)
+    node = world.nodes[1]
+    cert = make_cert(5, (2, 3, 4), (0.9, 0.9, 0.9), nonce=10, at_ms=1000)
+    data = encode_certificate(cert)
+    node.handle_certificate(data, 1000, cache=False, from_node=5)
+    assert cert.key() in node.processed_certs and cert.key() not in node.cache
+    # the same key with one bit of the first response tag flipped
+    tampered = bytearray(data)
+    tampered[messages._CERT_HEAD.size + messages._CERT_RESP.size] ^= 0x01
+    tampered = bytes(tampered)
+    assert messages.verify_group_certificate(
+        messages.decode_certificate(tampered), THRESHOLD, world.authority) \
+        is messages.Verdict.TAMPERED_RESPONSE
+    node.handle_certificate(tampered, 2000, cache=True, from_node=5)
+    assert cert.key() not in node.cache
+    node.handle_certificate(data, 3000, cache=True, from_node=5)
+    assert node.cache[cert.key()] == data
+
+
 def test_replay_of_identical_frame_ignored():
     world = World(3)
     accused = world.nodes[3]
@@ -273,6 +293,23 @@ def test_stale_frame_outside_replay_window_ignored():
     frames = world.nodes[1].initiate_challenge(3, 1000)
     stale_at = 1000 + world.params.replay_window_ms + 1
     assert world.nodes[3].receive(frames[0].data, stale_at) == []
+
+
+def test_replay_just_before_a_rotation_still_rejected_after_it():
+    params = ProtocolParams(min_samples=3, alarm_jitter_ms=1_000,
+                            exchange_interval_ms=500)
+    window = params.replay_window_ms
+    world = World(3, params=params)
+    accused = world.nodes[3]
+    frame = world.nodes[1].initiate_challenge(3, window - 2)[0].data
+    assert accused.receive(frame, window - 1)
+    accused.tick(window)
+    assert accused.seen_nonces.rotated_ms == window
+    assert accused.receive(frame, window + 1) == []
+    # the next rotation drops the key; the frame's timestamp still rejects it
+    accused.tick(2 * window)
+    assert len(accused.seen_nonces) == 0
+    assert accused.receive(frame, 2 * window) == []
 
 
 # --- hostile input from enrolled senders ----------------------------------

@@ -345,6 +345,29 @@ def test_cert_bytes_with_out_of_range_response_are_invalid():
     assert sim._cert_bytes_valid(body + messages.tag(body, secret[1])) is False
 
 
+def test_replay_state_stays_flat_when_duration_doubles():
+    """Three false accusers keep control frames flowing all run; the
+    summed seen_nonces, sampled after every tick, peaks no higher when
+    the run is twice as long."""
+
+    class Sampled(Simulator):
+        peak = 0
+
+        def _handle_tick(self):
+            super()._handle_tick()
+            self.peak = max(self.peak, sum(len(n.seen_nonces)
+                                           for n in self.nodes.values()))
+
+    peaks = []
+    for duration in (240.0, 480.0):
+        sim = Sampled(small_config(
+            duration_s=duration, malicious_count=3, adv_false_accuser=True,
+            drop_prob=0.0, exchange_interval_s=5.0))
+        sim.run()
+        peaks.append(sim.peak)
+    assert 0 < peaks[1] <= 1.2 * peaks[0], peaks
+
+
 # --- documentation --------------------------------------------------------
 
 def test_readme_multi_hop_preset_matches_code():

@@ -127,18 +127,20 @@ class Authority:
     """Simulated certifying authority and public directory.
 
     Holds the secret-to-binding registry used to check authenticity tags
-    (the simulator's stand-in for public-key verification), and three
+    (the simulator's stand-in for public-key verification), and four
     memos over it that every node of one simulation shares:
 
     - ``verify_node`` results, keyed on (binding, message bytes, tag);
     - ``open_frame`` results, keyed on the frame bytes;
-    - ``open_certificate`` results, keyed on the certificate bytes.
+    - ``open_certificate`` results, keyed on the certificate bytes;
+    - ``check_certificate`` verdicts, keyed on (certificate bytes,
+      threshold).
 
     Each is a pure function of its key and the registry, and a broadcast
     hands the same bytes to every neighbor, so each distinct input is
     decoded or checked once. A memo holds at most its ``*_MEMO_SIZE``
     entries and drops its oldest ones first. ``register_secret`` and
-    ``enroll`` clear all three; decode failures are never memoized.
+    ``enroll`` clear all four; decode failures are never memoized.
     """
 
     def __init__(self, secret: bytes = b"\x00" * 32):
@@ -147,6 +149,7 @@ class Authority:
         self._tags: dict[tuple[bytes, bytes, bytes], bool] = {}
         self._frames: dict[bytes, tuple[ReputationHeader, bytes, bool]] = {}
         self._certs: dict[bytes, GroupTrustCertificate] = {}
+        self._verdicts: dict[tuple[bytes, float], Verdict] = {}
         self._binding_by_node[AUTHORITY_ID] = self.register_secret(secret)
 
     def register_secret(self, secret: bytes) -> bytes:
@@ -155,6 +158,7 @@ class Authority:
         self._tags.clear()
         self._frames.clear()
         self._certs.clear()
+        self._verdicts.clear()
         return binding
 
     def enroll(self, node_id: int, secret: bytes) -> bytes:
@@ -211,6 +215,16 @@ class Authority:
             cert = _remember(self._certs, data, decode_certificate(data),
                              CERT_MEMO_SIZE)
         return cert
+
+    def check_certificate(self, data: bytes, threshold: float) -> Verdict:
+        """``verify_group_certificate`` of the certificate in ``data``,
+        raising what ``decode_certificate`` raises."""
+        key = (data, threshold)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = _remember(self._verdicts, key, verify_group_certificate(
+                self.open_certificate(data), threshold, self), CERT_MEMO_SIZE)
+        return verdict
 
 
 def _remember(memo: dict, key, value, bound: int):

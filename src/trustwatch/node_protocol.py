@@ -15,6 +15,7 @@ import struct
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 from . import messages, trust_math
 from .messages import (
@@ -438,12 +439,12 @@ class Node:
         if key in self.processed_certs:
             # the table already reflects a certificate with this key, but
             # these bytes need not be the ones checked then
-            if cache and key not in self.cache and messages.verify_group_certificate(
-                    cert, threshold, self.authority) is Verdict.VALID:
+            if cache and key not in self.cache and self.authority.check_certificate(
+                    cert_bytes, threshold) is Verdict.VALID:
                 self._cache_put(key, cert_bytes, now)
             return []
 
-        verdict = messages.verify_group_certificate(cert, threshold, self.authority)
+        verdict = self.authority.check_certificate(cert_bytes, threshold)
         if verdict is Verdict.VALID and \
                 (cert.subject, cert.challenge_nonce) in self.responded and \
                 self.node_id not in cert.respondent_ids():
@@ -762,9 +763,11 @@ class Node:
                                        from_node=from_node)
 
     def piggyback_keys(self) -> list[tuple]:
-        """The newest cache keys, at most ``piggyback_budget`` of them."""
-        budget = self.params.piggyback_budget
-        return list(self.cache)[-budget:] if budget > 0 else []
+        """The newest cache keys, at most ``piggyback_budget`` of them,
+        oldest first."""
+        keys = list(islice(reversed(self.cache), self.params.piggyback_budget))
+        keys.reverse()
+        return keys
 
     # --- adversary hooks (honest defaults) --------------------------------
 

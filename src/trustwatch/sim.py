@@ -6,6 +6,14 @@ the per-node protocol.
 Identical (config, seed) pairs produce byte-identical event logs. All
 fan-outs process recipients in ascending node id and the event queue
 breaks time ties by insertion order.
+
+A control frame is one queue event that carries its recipients: the
+destination of a unicast, or the sender's neighbors at send time, in
+ascending id, for a broadcast. A broadcast event runs exactly as one
+event per recipient would: those events would carry consecutive
+sequence numbers at one time t, and no delivery pushes an event at t,
+because every control frame takes ``hop_latency_ms > 0`` per hop. So
+no other event could run between them.
 """
 
 from __future__ import annotations
@@ -563,11 +571,12 @@ class Simulator:
         for out in outgoings:
             name = f"msgs_{out.mess_type.name.lower()}"
             if out.dest is None:
-                for r in self.neighbors_of(src):
+                recipients = tuple(self.neighbors_of(src))
+                if recipients:
                     self._push(self.now + self.cfg.hop_latency_ms, EV_CTRL,
-                               r, out.data)
-                    self.ledger[name] += 1
-                    self.ledger["ctrl_bytes"] += len(out.data)
+                               recipients, out.data)
+                    self.ledger[name] += len(recipients)
+                    self.ledger["ctrl_bytes"] += len(out.data) * len(recipients)
             else:
                 if out.dest == src:
                     continue
@@ -576,12 +585,15 @@ class Simulator:
                     self.ledger["ctrl_undeliverable"] += 1
                     continue
                 self._push(self.now + hops * self.cfg.hop_latency_ms, EV_CTRL,
-                           out.dest, out.data)
+                           (out.dest,), out.data)
                 self.ledger[name] += 1
                 self.ledger["ctrl_bytes"] += len(out.data) * hops
 
-    def _handle_ctrl(self, dest: int, frame: bytes) -> None:
-        self._emit(dest, self.nodes[dest].receive(frame, self.now))
+    def _handle_ctrl(self, recipients: tuple[int, ...], frame: bytes) -> None:
+        for r in recipients:
+            out = self.nodes[r].receive(frame, self.now)
+            if out:
+                self._emit(r, out)
 
     def _hop_distance(self, src: int, dst: int) -> int | None:
         """Hops on a shortest path from src to dst, or None if there is
@@ -736,11 +748,10 @@ class Simulator:
 
     def _cert_bytes_valid(self, data: bytes) -> bool:
         try:
-            cert = self.authority.open_certificate(data)
+            verdict = self.authority.check_certificate(
+                data, self.cfg.maliciousness_threshold)
         except messages.MessageError:
             return False
-        verdict = messages.verify_group_certificate(
-            cert, self.cfg.maliciousness_threshold, self.authority)
         return verdict is messages.Verdict.VALID
 
     def _handle_tick(self) -> None:

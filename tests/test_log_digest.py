@@ -55,18 +55,20 @@ def test_every_traced_function_exists_and_wrappers_see_the_run(monkeypatch):
                for owner, attr, _ in tracer._targets(messages.decode_rep_mess)
                if vars(owner).get(attr) is None]
     assert missing == []
-    # the tracer wraps after the simulator is built: both event dispatch
-    # and message dispatch must reach a class-level wrapper installed then
+    # the tracer wraps after the simulator is built: event dispatch, the
+    # broadcast fan-out, message dispatch and the certificate memo's misses
+    # must all reach a class- or module-level wrapper installed then
     simulator = Simulator(ScenarioConfig(
         node_count=8, area_width_m=40.0, area_height_m=40.0, flow_count=2,
         malicious_count=1, adv_false_accuser=True, duration_s=40.0,
         rng_seed=1))
+    wrapped = ((Simulator, "_handle_tick"), (Node, "receive"),
+               (Node, "_on_global_alarm"), (messages, "verify_group_certificate"))
     calls = Counter()
-    for owner, attr in ((Simulator, "_handle_tick"), (Node, "_on_global_alarm")):
+    for owner, attr in wrapped:
         def wrapper(*args, _fn=vars(owner)[attr], _attr=attr):
             calls[_attr] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, attr, wrapper)
     simulator.run()
-    assert calls["_handle_tick"] > 0
-    assert calls["_on_global_alarm"] > 0
+    assert all(calls[attr] > 0 for _, attr in wrapped), calls

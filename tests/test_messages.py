@@ -55,12 +55,18 @@ def random_header(rng, mess_type=None):
     )
 
 
-@pytest.fixture()
-def authority():
+def enrolled(rekeyed: int | None = None) -> Authority:
+    """Nodes 1..9 enrolled with ``bytes([nid]) * 16``, except that
+    ``rekeyed`` gets another secret."""
     auth = Authority()
     for nid in range(1, 10):
-        auth.enroll(nid, bytes([nid]) * 16)
+        auth.enroll(nid, b"k" * 16 if nid == rekeyed else bytes([nid]) * 16)
     return auth
+
+
+@pytest.fixture()
+def authority():
+    return enrolled()
 
 
 def make_cert(authority, subject=5, issuer=5, respondents=(1, 2, 3),
@@ -256,7 +262,8 @@ def test_memos_stay_within_their_bounds(authority):
     secret = SIGNERS[2]
     bounds = {"_tags": messages.TAG_MEMO_SIZE,
               "_frames": messages.FRAME_MEMO_SIZE,
-              "_certs": messages.CERT_MEMO_SIZE}
+              "_certs": messages.CERT_MEMO_SIZE,
+              "_verdicts": messages.CERT_MEMO_SIZE}
     peak = dict.fromkeys(bounds, 0)
     frames = []
     for i in range(max(bounds.values()) + 100):
@@ -269,13 +276,60 @@ def test_memos_stay_within_their_bounds(authority):
         body = certificate_body_bytes(GroupTrustCertificate(
             subject=1, issuer=2, issued_at_ms=i, challenge_nonce=i,
             group_trust_raw=FIXED_POINT_SCALE, responses=(), certificate_tag=b""))
-        assert authority.open_certificate(body + tag(body, secret)).issued_at_ms == i
+        cert = body + tag(body, secret)
+        assert authority.open_certificate(cert).issued_at_ms == i
+        assert authority.check_certificate(cert, THRESHOLD) is Verdict.VALID
         for name in bounds:
             peak[name] = max(peak[name], len(getattr(authority, name)))
     assert all(0 < peak[name] <= bound for name, bound in bounds.items()), peak
     # the oldest entries went first
     assert frames[0] not in authority._frames
     assert frames[-1] in authority._frames
+
+
+CERT_RESPONDENTS = (1, 2, 3)
+VALID_CERT = encode_certificate(make_cert(None, respondents=CERT_RESPONDENTS,
+                                          ms=(0.2, 0.6, 0.4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(copies=st.lists(st.none() | st.integers(0, 8 * len(VALID_CERT) - 1),
+                       min_size=1, max_size=8),
+       rekeyed=st.sampled_from(CERT_RESPONDENTS))
+def test_memoized_certificate_verdict_equals_a_fresh_check(copies, rekeyed):
+    """Each copy is the valid certificate (None) or the certificate with
+    one bit flipped, and each is checked twice. The memoized verdict at
+    two thresholds equals a check on an authority whose memos are empty,
+    before and after a respondent is enrolled with a new secret."""
+    memoized = enrolled()
+    datas = [VALID_CERT]
+    for bit in copies:
+        data = bytearray(VALID_CERT)
+        if bit is not None:
+            data[bit // 8] ^= 1 << bit % 8
+        datas.append(bytes(data))
+    for rekey in (None, rekeyed):
+        if rekey is not None:
+            memoized.enroll(rekey, b"k" * 16)
+        for data in datas + datas:
+            for threshold in (THRESHOLD, 0.3):
+                try:
+                    cert = decode_certificate(data)
+                except messages.MessageError as exc:
+                    with pytest.raises(type(exc)):
+                        memoized.check_certificate(data, threshold)
+                    continue
+                assert memoized.check_certificate(data, threshold) is \
+                    verify_group_certificate(cert, threshold, enrolled(rekey))
+    assert memoized.check_certificate(VALID_CERT, THRESHOLD) \
+        is Verdict.TAMPERED_RESPONSE
+
+
+def test_certificate_verdict_depends_on_the_threshold():
+    auth = enrolled()
+    assert auth.check_certificate(VALID_CERT, THRESHOLD) is Verdict.VALID
+    assert auth.check_certificate(VALID_CERT, 0.3) is Verdict.WRONG_GROUP_TRUST
+    assert auth.check_certificate(VALID_CERT, THRESHOLD) is Verdict.VALID
 
 
 def test_malformed_frame_logs_bad_frame_each_time_it_is_received(authority):

@@ -509,6 +509,51 @@ def test_valid_verdict_accepted_by_third_party():
     assert 4 in world.nodes[2].isolated
 
 
+def verdict_payload(subject, raiser, nonce, voters, count=None):
+    records = b"".join(
+        _VOTE_RECORD.pack(voter, 1)
+        + tag(vote_sign_bytes(subject, raiser, voter, nonce, True), secret_for(voter))
+        for voter in voters)
+    count = len(voters) if count is None else count
+    return _ALARM_PAYLOAD.pack(1, raiser, nonce) + struct.pack(">H", count) + records
+
+
+def test_verdict_with_a_flipped_vote_tag_is_tallied_on_its_own_bytes():
+    world = World(6)
+    nonce = 45
+    valid = verdict_payload(4, 1, nonce, (1, 2, 3))
+    raiser = world.nodes[1]
+    world.nodes[2].receive(
+        raiser._frame(RepMessType.GLOBAL_ALARM, 4, 0, valid, 1000), 1001)
+    assert 4 in world.nodes[2].isolated
+    # the same verdict with voter 3's tag flipped, to a node that has not
+    # seen the valid one, after the valid one's tags were checked
+    flipped = bytearray(valid)
+    flipped[-1] ^= 0x01
+    flipped = bytes(flipped)
+    out = world.nodes[5].receive(
+        raiser._frame(RepMessType.GLOBAL_ALARM, 4, 0, flipped, 1000), 1001)
+    assert 4 not in world.nodes[5].isolated  # two valid votes of three
+    assert [o.data[messages.HEADER_LEN:-messages.TAG_LEN] for o in out] == [flipped]
+
+
+def test_malformed_verdict_is_not_rebroadcast():
+    world = World(6)
+    nonce = 46
+    short = verdict_payload(4, 1, nonce, (1, 2, 3), count=4)
+    for nid in (2, 5):  # the second receiver gets the memoized frame
+        frame = world.nodes[1]._frame(RepMessType.GLOBAL_ALARM, 4, 0, short, 1000)
+        assert world.nodes[nid].receive(frame, 1001) == []
+        assert (4, 1, nonce, "v") in world.nodes[nid].flood_seen
+        assert 4 not in world.nodes[nid].isolated
+    # the flood key was recorded: a well-formed verdict with the same key
+    # is a duplicate
+    valid = verdict_payload(4, 1, nonce, (1, 2, 3))
+    frame = world.nodes[1]._frame(RepMessType.GLOBAL_ALARM, 4, 0, valid, 1000)
+    assert world.nodes[2].receive(frame, 1002) == []
+    assert 4 not in world.nodes[2].isolated
+
+
 def test_first_hand_observation_outranks_doctored_certificate():
     world = World(5)
     voter = world.nodes[1]

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from trustwatch import harness, messages, trust_math
+from trustwatch.node_protocol import Node
 from trustwatch.sim import (
+    EV_CTRL,
     PRESETS,
     AdversaryProfile,
     ConfigInvalid,
@@ -258,6 +260,85 @@ def test_bfs_routes_and_hop_distances_match_brute_force_while_moving():
             assert sim.ledger == ledger
             multi_hop_routes += got is not None and len(got) > 2
     assert multi_hop_routes > 100
+
+
+# --- control plane --------------------------------------------------------
+
+# node 1 reaches 2 and 3; node 4 is out of everyone's range
+STAR = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (90.0, 90.0)]
+
+
+def star_sim():
+    return Simulator(small_config(node_count=4, flow_count=0,
+                                  mobility_model="static"), positions=STAR)
+
+
+def test_broadcast_is_one_event_charged_per_recipient():
+    sim = star_sim()
+    alarm = sim.nodes[1].raise_global_alarm(4, 0)
+    queued = len(sim._queue)
+    sim._emit(1, alarm)
+    assert len(sim._queue) == queued + 1
+    assert [args for _, _, kind, args in sim._queue if kind == EV_CTRL] \
+        == [((2, 3), alarm[0].data)]
+    assert sim.ledger["msgs_global_alarm"] == 2
+    assert sim.ledger["ctrl_bytes"] == 2 * len(alarm[0].data)
+
+
+def test_broadcast_from_a_node_without_neighbors_is_not_queued_or_charged():
+    sim = star_sim()
+    queued, ledger = list(sim._queue), Counter(sim.ledger)
+    sim._emit(4, sim.nodes[4].raise_global_alarm(1, 0))
+    assert sim._queue == queued
+    assert dict(sim.ledger) == dict(ledger)
+
+
+def test_broadcast_reaches_the_neighbors_at_send_time(monkeypatch):
+    sim = star_sim()
+    sim._emit(1, sim.nodes[1].raise_global_alarm(4, 0))
+    # node 2 leaves node 1's range and node 4 enters it before delivery
+    sim.pos[1], sim.pos[3] = (90.0, 0.0), (5.0, 5.0)
+    sim._recompute_topology()
+    assert sim.neighbors_of(1) == [3, 4]
+    received = []
+
+    def receive(node, data, now, _receive=Node.receive):
+        received.append(node.node_id)
+        return _receive(node, data, now)
+
+    monkeypatch.setattr(Node, "receive", receive)
+    (t, args), = [(t, args) for t, _, kind, args in sim._queue
+                  if kind == EV_CTRL]
+    sim.now = t
+    sim._handle_ctrl(*args)
+    assert received == [2, 3]
+
+
+class PerRecipientSimulator(Simulator):
+    """Queues a broadcast as one event per recipient."""
+
+    def _emit(self, src, outgoings):
+        for out in outgoings:
+            if out.dest is not None:
+                super()._emit(src, [out])
+                continue
+            for r in self.neighbors_of(src):
+                self._push(self.now + self.cfg.hop_latency_ms, EV_CTRL,
+                           (r,), out.data)
+                self.ledger[f"msgs_{out.mess_type.name.lower()}"] += 1
+                self.ledger["ctrl_bytes"] += len(out.data)
+
+
+def test_one_event_per_broadcast_runs_as_one_event_per_recipient():
+    cfg = small_config(duration_s=150.0, malicious_count=3, drop_prob=0.5,
+                       adv_false_accuser=True, adv_drops_feedback=True,
+                       adv_tampers_certificates=True, exchange_interval_s=20.0)
+    batched = Simulator(cfg).run()
+    single = PerRecipientSimulator(cfg).run()
+    assert any(kind == "isolated" for _, kind, *_ in batched.log)
+    assert batched.render_log() == single.render_log()
+    assert dict(batched.ledger) == dict(single.ledger)
+    assert batched.flow_counters == single.flow_counters
 
 
 # --- accounting and end-to-end behavior ----------------------------------

@@ -708,33 +708,39 @@ class Node:
     def tick(self, now: int) -> list[Outgoing]:
         self.seen_nonces.rotate(now)
         out: list[Outgoing] = []
-        for subject in list(self.challenges):
-            state = self.challenges[subject]
-            if not state.acked and now >= state.ack_deadline_ms:
-                # silence on challenge: treated as maximal maliciousness
-                self._log(now, "challenge_silent", subject, "")
-                self._condemn(subject, now)
-                del self.challenges[subject]
-            elif now >= state.close_at_ms:
-                del self.challenges[subject]
-        for nonce in list(self.collects):
-            state = self.collects[nonce]
-            if not state.done and now >= state.deadline_ms:
-                if state.collected:
-                    out.extend(self._aggregate(state, now))
-                else:
-                    state.done = True
-            if state.done and now >= state.deadline_ms + self.params.replay_window_ms:
-                del self.collects[nonce]
-        for subject, due in list(self.pending_alarms.items()):
-            if now >= due:
-                del self.pending_alarms[subject]
-                out.extend(self.raise_global_alarm(subject, now))
-        for subject in list(self.alarms):
-            state = self.alarms[subject]
-            if now >= state.deadline_ms:
-                out.extend(self._tally_alarm(state, now))
-                del self.alarms[subject]
+        # most ticks find every dict empty: skip copying their keys
+        if self.challenges:
+            for subject in list(self.challenges):
+                state = self.challenges[subject]
+                if not state.acked and now >= state.ack_deadline_ms:
+                    # silence on challenge: treated as maximal maliciousness
+                    self._log(now, "challenge_silent", subject, "")
+                    self._condemn(subject, now)
+                    del self.challenges[subject]
+                elif now >= state.close_at_ms:
+                    del self.challenges[subject]
+        if self.collects:
+            for nonce in list(self.collects):
+                state = self.collects[nonce]
+                if not state.done and now >= state.deadline_ms:
+                    if state.collected:
+                        out.extend(self._aggregate(state, now))
+                    else:
+                        state.done = True
+                if state.done and \
+                        now >= state.deadline_ms + self.params.replay_window_ms:
+                    del self.collects[nonce]
+        if self.pending_alarms:
+            for subject, due in list(self.pending_alarms.items()):
+                if now >= due:
+                    del self.pending_alarms[subject]
+                    out.extend(self.raise_global_alarm(subject, now))
+        if self.alarms:
+            for subject in list(self.alarms):
+                state = self.alarms[subject]
+                if now >= state.deadline_ms:
+                    out.extend(self._tally_alarm(state, now))
+                    del self.alarms[subject]
         # retry subjects the table condemns but the network has not yet
         # isolated (e.g. another raiser's alarm fell short of quorum and
         # its cooldown has passed; this node raises at most once)

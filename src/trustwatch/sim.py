@@ -123,6 +123,8 @@ class ScenarioConfig:
                 problems.append(f"{name} must be in [0, 1]")
         if self.delta < 0:
             problems.append("delta must be >= 0")
+        if self.pause_s < 0:
+            problems.append("pause_s must be >= 0")
         if self.piggyback_budget < 0:
             problems.append("piggyback_budget must be >= 0")
         if problems:
@@ -284,6 +286,38 @@ EV_ACCUSE = "accuse"
 _KEY_BYTES = 16  # accounting size of a certificate cache key on the wire
 
 
+def _checked_positions(positions, config: ScenarioConfig) -> np.ndarray:
+    """Initial positions as an (n, 2) array of finite coordinates inside
+    the area. Raises ``ConfigInvalid`` listing every problem: a position
+    that is not finite would take its node out of the graph unseen."""
+    n = config.node_count
+    try:
+        pos = np.array(positions, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid([f"positions must be {n} (x, y) pairs: {exc}"]) from None
+    problems = []
+    if pos.shape != (n, 2):
+        problems.append(f"positions must have shape ({n}, 2), not {pos.shape}")
+    if pos.ndim == 2:
+        finite = np.isfinite(pos).all(axis=1)
+        if not finite.all():
+            ids = (np.flatnonzero(~finite) + 1).tolist()
+            problems.append(f"positions of nodes {ids} are not finite")
+        if pos.shape[1] == 2:
+            x, y = pos[:, 0], pos[:, 1]
+            inside = (0 <= x) & (x <= config.area_width_m) \
+                & (0 <= y) & (y <= config.area_height_m)
+            outside = finite & ~inside
+            if outside.any():
+                ids = (np.flatnonzero(outside) + 1).tolist()
+                problems.append(
+                    f"positions of nodes {ids} lie outside the "
+                    f"{config.area_width_m:g} x {config.area_height_m:g} m area")
+    if problems:
+        raise ConfigInvalid(problems)
+    return pos
+
+
 class Simulator:
     def __init__(self, config: ScenarioConfig,
                  positions: list[tuple[float, float]] | None = None,
@@ -333,9 +367,7 @@ class Simulator:
 
         # mobility state (index i <-> node id i+1)
         if positions is not None:
-            if len(positions) != n:
-                raise ConfigInvalid([f"{len(positions)} positions for {n} nodes"])
-            self.pos = np.array(positions, dtype=float)
+            self.pos = _checked_positions(positions, config)
         else:
             self.pos = np.column_stack([
                 np.array([self.rng.uniform(0, config.area_width_m) for _ in range(n)]),
@@ -433,43 +465,44 @@ class Simulator:
             s = self.rng.uniform(0, self.cfg.max_speed_mps)
         self.speed[i] = s
 
-    def _step_mobility(self, dt_s: float) -> None:
+    def _step_mobility(self, dt_s: float) -> bool:
+        """Advance every node ``dt_s`` seconds along its random waypoint
+        path. Returns whether a node may have moved: False only for the
+        static model, whose unit-disk graph never changes after set-up."""
         if self.cfg.mobility_model != "random_waypoint":
-            return
-        n = self.cfg.node_count
+            return False
         delta = self.waypoint - self.pos
         dist = np.hypot(delta[:, 0], delta[:, 1])
         step = self.speed * dt_s
-        paused = self.pause_until > self.now
-        at_waypoint = dist == 0.0
-        arriving = (~paused) & (~at_waypoint) & (dist <= step)
-        moving = (~paused) & (dist > step)
-        scale = np.zeros(n)
-        scale[moving] = step[moving] / dist[moving]
-        self.pos[moving] += delta[moving] * scale[moving, None]
-        for i in np.flatnonzero(arriving):
-            self.pos[i] = self.waypoint[i]
-            self.pause_until[i] = self.now + self.cfg.pause_s * 1000
-        # pause over: pick a fresh waypoint and speed
-        for i in np.flatnonzero((~paused) & at_waypoint):
-            self._new_waypoint(i)
+        active = self.pause_until <= self.now
+        moving = active & (dist > step)
+        # every row is updated; a row not moving adds +-0.0 to a finite
+        # coordinate, which leaves it equal (-0.0 may become +0.0)
+        scale = np.divide(step, dist, out=np.zeros_like(dist), where=moving)
+        delta *= scale[:, None]
+        self.pos += delta
+        # arrivals draw no random numbers, so the new waypoints are drawn
+        # in ascending index order whichever way the two kinds interleave
+        for i in np.flatnonzero(active & (dist <= step)).tolist():
+            if dist[i] == 0.0:  # pause over: a fresh waypoint and speed
+                self._new_waypoint(i)
+            else:
+                self.pos[i] = self.waypoint[i]
+                self.pause_until[i] = self.now + self.cfg.pause_s * 1000
+        return True
 
     def _handle_topology(self) -> None:
-        self._step_mobility(self.cfg.topology_step_ms / 1000.0)
-        self._recompute_topology()
+        if self._step_mobility(self.cfg.topology_step_ms / 1000.0):
+            self._recompute_topology()
         self._repeat(self.cfg.topology_step_ms, EV_TOPO)
 
     def _recompute_topology(self, initial: bool = False) -> None:
         """Update the unit-disk graph from the current positions.
 
-        Returns at once if no node moved since the last call. Otherwise
-        squared distances are computed once over the upper triangle of
+        Squared distances are computed once over the upper triangle of
         node pairs, and only pairs whose in-range bit flipped touch the
         neighbor lists, ``ever_neighbors`` and the nodes. ``self.adj`` is
         replaced by a new array exactly when the edge set changes."""
-        if not initial and np.array_equal(self.pos, self._topo_pos):
-            return
-        self._topo_pos = self.pos.copy()
         # dx * dx + dy * dy computed in place: the same roundings as a
         # dense (diff ** 2).sum(axis=2), so the edge set is bit-identical
         x, y = self.pos[:, 0].copy(), self.pos[:, 1].copy()
@@ -606,7 +639,8 @@ class Simulator:
     def _observe(self, watcher: int, subject: int, outcome: int) -> None:
         self._log("monitor_obs", watcher, subject, str(outcome))
         out = self.nodes[watcher].monitor_observe(subject, outcome, self.now)
-        self._emit(watcher, out)
+        if out:
+            self._emit(watcher, out)
 
     # --- data plane -------------------------------------------------------
 
@@ -732,8 +766,10 @@ class Simulator:
                 if data is not None:
                     self.ledger["msgs_exchange"] += 1
                     self.ledger["ctrl_bytes"] += len(data)
-                    self._emit(dst, self.nodes[dst].receive_exchanged_cert(
-                        data, src, self.now))
+                    out = self.nodes[dst].receive_exchanged_cert(
+                        data, src, self.now)
+                    if out:
+                        self._emit(dst, out)
         for key in sorted(keys_a & keys_b):
             ca, cb = na.outgoing_cache_bytes(key), nb.outgoing_cache_bytes(key)
             if ca == cb or ca is None or cb is None:
@@ -756,7 +792,9 @@ class Simulator:
 
     def _handle_tick(self) -> None:
         for nid in self.ids:
-            self._emit(nid, self.nodes[nid].tick(self.now))
+            out = self.nodes[nid].tick(self.now)
+            if out:
+                self._emit(nid, out)
         self._repeat(self.cfg.tick_interval_ms, EV_TICK)
 
     def _handle_accuse(self, nid: int) -> None:

@@ -39,7 +39,7 @@ def test_config_defaults_valid():
 def test_config_collects_all_problems():
     cfg = ScenarioConfig(duration_s=-1, node_count=0, alpha=1.5,
                          mobility_model="teleport", cache_capacity=0,
-                         piggyback_budget=-1)
+                         piggyback_budget=-1, pause_s=-1)
     with pytest.raises(ConfigInvalid) as err:
         cfg.validate()
     text = str(err.value)
@@ -49,6 +49,34 @@ def test_config_collects_all_problems():
     assert "teleport" in text
     assert "cache_capacity" in text
     assert "piggyback_budget" in text
+    assert "pause_s" in text
+
+
+@pytest.mark.parametrize("positions, problems", [
+    ([(0.0, 0.0), (1.0, 1.0)], ["shape (3, 2)"]),
+    ([(0.0, 0.0), (1.0,), (2.0, 2.0)], ["3 (x, y) pairs"]),
+    ([(0.0, 0.0), (float("nan"), 1.0), (2.0, float("inf"))],
+     ["nodes [2, 3] are not finite"]),
+    ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, float("-inf"), 2.0)],
+     ["shape (3, 2)", "nodes [3] are not finite"]),
+    ([(0.0, 0.0), (-1.0, 5.0), (50.0, 100.5)],
+     ["nodes [2, 3] lie outside the 100 x 100 m area"]),
+    ([(float("nan"), 0.0), (1.0, 1.0), (200.0, 1.0)],
+     ["nodes [1] are not finite", "nodes [3] lie outside"]),
+])
+def test_bad_positions_are_rejected_with_every_problem(positions, problems):
+    cfg = small_config(node_count=3, flow_count=0, mobility_model="static")
+    with pytest.raises(ConfigInvalid) as err:
+        Simulator(cfg, positions=positions)
+    assert len(err.value.problems) == len(problems)
+    for got, want in zip(err.value.problems, problems):
+        assert want in got
+
+
+def test_positions_on_the_area_border_are_accepted():
+    cfg = small_config(node_count=3, flow_count=0, mobility_model="static")
+    sim = Simulator(cfg, positions=[(0.0, 0.0), (100.0, 100.0), (0.0, 100.0)])
+    assert sim.pos.shape == (3, 2)
 
 
 def test_config_malicious_count_bound():
@@ -75,7 +103,7 @@ def test_static_positions_never_move():
     before = sim.pos.copy()
     for _ in range(50):
         sim.now += 100
-        sim._step_mobility(0.1)
+        assert sim._step_mobility(0.1) is False
     assert np.array_equal(sim.pos, before)
 
 
@@ -93,6 +121,63 @@ def test_random_waypoint_moves_and_respects_bounds_and_speed():
         assert (sim.pos[:, 0] >= 0).all() and (sim.pos[:, 0] <= cfg.area_width_m).all()
         assert (sim.pos[:, 1] >= 0).all() and (sim.pos[:, 1] <= cfg.area_height_m).all()
     assert np.hypot(*(sim.pos - start).T).max() > 1.0
+
+
+def reference_step_mobility(sim, dt_s):
+    """Random-waypoint step as written before it became one masked pass:
+    arrivals first, then new waypoints, each over its own boolean mask."""
+    n = sim.cfg.node_count
+    delta = sim.waypoint - sim.pos
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    step = sim.speed * dt_s
+    paused = sim.pause_until > sim.now
+    at_waypoint = dist == 0.0
+    arriving = (~paused) & (~at_waypoint) & (dist <= step)
+    moving = (~paused) & (dist > step)
+    scale = np.zeros(n)
+    scale[moving] = step[moving] / dist[moving]
+    sim.pos[moving] += delta[moving] * scale[moving, None]
+    for i in np.flatnonzero(arriving):
+        sim.pos[i] = sim.waypoint[i]
+        sim.pause_until[i] = sim.now + sim.cfg.pause_s * 1000
+    for i in np.flatnonzero((~paused) & at_waypoint):
+        sim._new_waypoint(i)
+
+
+def test_mobility_step_is_bit_identical_to_the_reference():
+    cfg = small_config(node_count=20, pause_s=0.2, rng_seed=4)
+    sim, ref = Simulator(cfg), Simulator(cfg)
+    for s in (sim, ref):  # node 1 starts exactly on its waypoint
+        s.pos[0] = s.waypoint[0]
+    dt_s = cfg.topology_step_ms / 1000.0
+    redraws = arrivals = 0
+    for step in range(3000):
+        sim.now += cfg.topology_step_ms
+        ref.now = sim.now
+        draws = sim.rng.getstate()
+        waiting = int((sim.pause_until > sim.now).sum())
+        assert sim._step_mobility(dt_s) is True
+        reference_step_mobility(ref, dt_s)
+        for name in ("pos", "waypoint", "speed", "pause_until"):
+            assert np.array_equal(getattr(sim, name), getattr(ref, name)), \
+                f"step {step} {name}"
+        assert sim.rng.getstate() == ref.rng.getstate(), f"step {step}"
+        redraws += sim.rng.getstate() != draws
+        arrivals += int((sim.pause_until > sim.now).sum()) > waiting
+    assert redraws > 100 and arrivals > 100
+
+
+def test_static_run_never_recomputes_the_topology(monkeypatch):
+    sim = Simulator(small_config(mobility_model="static"))
+    calls = Counter()
+    for name in ("_step_mobility", "_recompute_topology"):
+        def counted(self, *args, _fn=getattr(Simulator, name), _name=name):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(Simulator, name, counted)
+    sim.run()
+    assert calls["_step_mobility"] == sim.duration_ms // sim.cfg.topology_step_ms
+    assert calls["_recompute_topology"] == 0
 
 
 def test_topology_symmetric_and_irreflexive():

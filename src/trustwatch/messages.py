@@ -167,12 +167,6 @@ class Authority:
         self._binding_by_node[node_id] = binding
         return binding
 
-    def binding(self, node_id: int) -> bytes:
-        try:
-            return self._binding_by_node[node_id]
-        except KeyError:
-            raise UnknownBinding(f"node {node_id} has no registered binding")
-
     def verify_tag(self, message_bytes: bytes, tag_: bytes, binding: bytes) -> bool:
         try:
             secret = self._secrets_by_binding[binding]

@@ -162,7 +162,6 @@ class CollectState:
     deadline_ms: int
     expected: set[int]
     collected: dict[int, CertResponse] = field(default_factory=dict)
-    done: bool = False
 
 
 @dataclass
@@ -195,7 +194,7 @@ class Node:
         self.authority = authority
         self.params = params
         self.rng = random.Random((seed << 20) ^ (node_id * 2654435761 % 2**31))
-        self.neighbors: list[int] = []
+        self.neighbors: tuple[int, ...] = ()
 
         self.table: dict[int, TableEntry] = {}
         self.isolated: set[int] = set()
@@ -204,7 +203,7 @@ class Node:
 
         self.challenges: dict[int, AccuserChallenge] = {}
         self.last_challenge_ms: dict[int, int] = {}
-        self.collects: dict[int, CollectState] = {}
+        self.collect: CollectState | None = None  # the open collection round
         self.responded: set[tuple[int, int]] = set()
 
         self.cache: OrderedDict[tuple, bytes] = OrderedDict()
@@ -242,7 +241,9 @@ class Node:
             self.last_contact_ms[other] = now
 
     def set_neighbors(self, neighbors: list[int]) -> None:
-        self.neighbors = sorted(neighbors)
+        # an immutable copy, cheaper to build than a sorted list or a
+        # frozenset; no reader depends on its order
+        self.neighbors = tuple(neighbors)
 
     # --- monitor ----------------------------------------------------------
 
@@ -317,13 +318,13 @@ class Node:
                         self._frame(RepMessType.CHALLENGE_ACK, self.node_id, 0,
                                     struct.pack(">Q", challenge_nonce), now))]
         # one collection round at a time; concurrent accusers share it
-        if any(not c.done for c in self.collects.values()):
+        if self.collect is not None:
             return out
         expected = set(self.neighbors) - {self.node_id}
         if not expected:
             return out
         nonce = self._nonce()
-        self.collects[nonce] = CollectState(
+        self.collect = CollectState(
             nonce=nonce, deadline_ms=now + self.params.collect_window_ms,
             expected=expected)
         self._log(now, "verify_behavior", self.node_id, f"fanout={len(expected)}")
@@ -374,8 +375,9 @@ class Node:
             self._log(now, "response_rejected", header.sender, f"w={w_raw}")
             return []
         rtag = payload[_RESP_PAYLOAD.size:]
-        state = self.collects.get(collect_nonce)
-        if state is None or state.done:
+        # a response to a closed round finds no open round with its nonce
+        state = self.collect
+        if state is None or state.nonce != collect_nonce:
             return []
         respondent = header.sender
         if respondent not in state.expected or respondent in state.collected:
@@ -388,7 +390,7 @@ class Node:
         return []
 
     def _aggregate(self, state: CollectState, now: int) -> list[Outgoing]:
-        state.done = True
+        self.collect = None
         responses = self._select_responses(list(state.collected.values()))
         cert = messages.build_certificate(
             subject=self.node_id, issuer=self.node_id, issued_at_ms=now,
@@ -404,7 +406,7 @@ class Node:
             self.on_cert_accepted(cert.key(), now)
         # broadcast to all neighbors; a random F-fraction of them become
         # cache carriers (initial flood), the rest only process it
-        targets = sorted(set(self.neighbors))
+        targets = sorted(self.neighbors)
         n_seed = math.ceil(self.params.f_fraction * len(targets))
         seeds = set(self.rng.sample(targets, min(n_seed, len(targets))))
         out = []
@@ -719,17 +721,12 @@ class Node:
                     del self.challenges[subject]
                 elif now >= state.close_at_ms:
                     del self.challenges[subject]
-        if self.collects:
-            for nonce in list(self.collects):
-                state = self.collects[nonce]
-                if not state.done and now >= state.deadline_ms:
-                    if state.collected:
-                        out.extend(self._aggregate(state, now))
-                    else:
-                        state.done = True
-                if state.done and \
-                        now >= state.deadline_ms + self.params.replay_window_ms:
-                    del self.collects[nonce]
+        state = self.collect
+        if state is not None and now >= state.deadline_ms:
+            if state.collected:
+                out.extend(self._aggregate(state, now))
+            else:
+                self.collect = None
         if self.pending_alarms:
             for subject, due in list(self.pending_alarms.items()):
                 if now >= due:

@@ -127,6 +127,13 @@ class ScenarioConfig:
             problems.append("pause_s must be >= 0")
         if self.piggyback_budget < 0:
             problems.append("piggyback_budget must be >= 0")
+        if 0 < self.exchange_interval_s and int(self.exchange_interval_s * 1000) == 0:
+            # the period is truncated to whole ms, and a 0 ms period would
+            # repeat the exchange at one instant forever
+            problems.append("exchange_interval_s must be at least 0.001 (1 ms)")
+        if self.flow_count > 0 and self.node_count < 2:
+            problems.append("node_count must be >= 2 when flow_count > 0: "
+                            "a flow needs two distinct endpoints")
         if problems:
             raise ConfigInvalid(problems)
 
@@ -402,14 +409,12 @@ class Simulator:
 
         self.buffers: dict[int, deque] = {nid: deque() for nid in self.ids}
         self.free_at: dict[int, int] = {nid: 0 for nid in self.ids}
-        self.service_scheduled: dict[int, bool] = {nid: False for nid in self.ids}
 
         self.log: list[tuple] = []
         self.ledger: Counter = Counter()
         self.cert_issued: dict = {}
         self.cert_holders: dict = {}
         self._pid = 0
-        self._in_flight: Counter = Counter()
 
         # initial schedule
         self._push(config.topology_step_ms, EV_TOPO)
@@ -662,7 +667,6 @@ class Simulator:
                 route=list(flow.route), hop_index=1, created_ms=self.now,
                 watched_by=watched)
             counters["sent"] += 1
-            self._in_flight[fid] += 1
             self.ledger["pb_bytes"] += _KEY_BYTES * len(src_node.piggyback_keys())
             src_node.note_contact(packet.route[1], self.now)
             self._push(self.now + self.cfg.hop_latency_ms, EV_ARRIVE,
@@ -672,7 +676,6 @@ class Simulator:
     def _drop_packet(self, packet: DataPacket, reason: str,
                      at: int, observed: bool) -> None:
         self.flow_counters[packet.flow_id][f"dropped_{reason}"] += 1
-        self._in_flight[packet.flow_id] -= 1
         if observed and packet.watched_by is not None:
             self._observe(packet.watched_by, at, OUTCOME_DROP)
 
@@ -685,7 +688,6 @@ class Simulator:
             counters["delivered"] += 1
             if packet.tampered:
                 counters["delivered_tampered"] += 1
-            self._in_flight[packet.flow_id] -= 1
             return
         # relay
         if packet.src in node.isolated:
@@ -702,21 +704,17 @@ class Simulator:
             self._drop_packet(packet, "buffer", nid, observed=True)
             return
         buffer.append(packet)
-        if not self.service_scheduled[nid]:
-            self.service_scheduled[nid] = True
+        # a relay has one EV_SERVICE queued exactly while its buffer is
+        # not empty: this append started the buffer, so nothing serves it yet
+        if len(buffer) == 1:
             self._push(max(self.now, self.free_at[nid]), EV_SERVICE, nid)
 
     def _handle_service(self, nid: int) -> None:
         buffer = self.buffers[nid]
-        if not buffer:
-            self.service_scheduled[nid] = False
-            return
         packet = buffer.popleft()
         self.free_at[nid] = self.now + self.cfg.service_slot_ms
         if buffer:
             self._push(self.free_at[nid], EV_SERVICE, nid)
-        else:
-            self.service_scheduled[nid] = False
 
         next_hop = packet.route[packet.hop_index + 1]
         if not self.adj[nid - 1, next_hop - 1]:
@@ -827,12 +825,10 @@ class Simulator:
         for nid, buffer in self.buffers.items():
             for packet in buffer:
                 self.flow_counters[packet.flow_id]["in_buffer"] += 1
-                self._in_flight[packet.flow_id] -= 1
         for _, _, kind, args in self._queue:
             if kind == EV_ARRIVE:
                 _, packet = args
                 self.flow_counters[packet.flow_id]["in_flight"] += 1
-                self._in_flight[packet.flow_id] -= 1
 
         return SimResult(
             config=self.cfg,

@@ -101,14 +101,22 @@ def _seeded_run(tmp_path, lines):
     return ["run", "--out", str(tmp_path / "out")]
 
 
+def _run(tmp_path, lines):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("duration_s = 10\nmalicious_count = 0\n" + lines)
+    return ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("argv,text,env", [
     (_sweep, "values = 5, ten\nrepetitions = 1\n", None),
     (_sweep, "values = 5\nrepetitions = two\n", None),
     (_replay, "1x0 monitor_obs 1 2 1\n", None),
     (_replay, "100 monitor_obs 1 2 x\n", None),
     (_seeded_run, "", "abc"),
+    (_run, "exchange_interval_s = 0.0004\n", None),
+    (_run, "node_count = 1\nflow_count = 1\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
-        "seed-env"])
+        "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:

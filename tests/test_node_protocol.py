@@ -321,26 +321,73 @@ def record_events(node):
     return events
 
 
+def response_frame(respondent, accused, collect_nonce, w_raw, now, nonce):
+    """A REP_RESPONSE to ``collect_nonce`` signed by ``respondent``."""
+    rtag = tag(response_sign_bytes(accused, respondent, 0, w_raw, collect_nonce),
+               secret_for(respondent))
+    header = ReputationHeader(
+        mess_type=int(RepMessType.REP_RESPONSE), subject=accused, rep_val_raw=0,
+        timestamp_ms=now, nonce=nonce, sender=respondent)
+    return messages.encode_rep_mess(
+        header, _RESP_PAYLOAD.pack(w_raw, collect_nonce) + rtag,
+        secret_for(respondent))
+
+
 def test_rep_response_weight_over_scale_rejected_and_logged():
     world = World(3)
     accused = world.nodes[3]
     events = record_events(accused)
     round_out = accused.receive(
         world.nodes[1].initiate_challenge(3, 1000)[0].data, 1001)
-    (collect_nonce, state), = accused.collects.items()
+    state = accused.collect
     w_raw = 65535
-    rtag = tag(response_sign_bytes(3, 2, 0, w_raw, collect_nonce), secret_for(2))
-    header = ReputationHeader(
-        mess_type=int(RepMessType.REP_RESPONSE), subject=3, rep_val_raw=0,
-        timestamp_ms=1002, nonce=99, sender=2)
-    frame = messages.encode_rep_mess(
-        header, _RESP_PAYLOAD.pack(w_raw, collect_nonce) + rtag, secret_for(2))
+    frame = response_frame(2, 3, state.nonce, w_raw, 1002, nonce=99)
     assert accused.receive(frame, 1002) == []
     assert ("response_rejected", 2, f"w={w_raw}") in events
     assert state.collected == {}
     # the honest responses still complete the round
     world.deliver(3, round_out, 1003)
-    assert state.done and set(state.collected) == {1, 2}
+    assert accused.collect is None and set(state.collected) == {1, 2}
+
+
+@pytest.mark.parametrize("close", ["last_response", "deadline"])
+def test_closed_collection_round_ignores_late_responses_and_frees_the_slot(
+        close):
+    world = World(3)
+    accused = world.nodes[3]
+    events = record_events(accused)
+    round_out = accused.receive(
+        world.nodes[1].initiate_challenge(3, 1000)[0].data, 1000)
+    old = accused.collect
+    assert old is not None and old.expected == {1, 2}
+    if close == "last_response":
+        world.deliver(3, round_out, 1001)
+        now = 1002
+    else:
+        now = old.deadline_ms
+        accused.tick(now)
+    assert accused.collect is None
+    issued = sum(kind == "cert_issued" for kind, _, _ in events)
+    assert issued == (close == "last_response")
+
+    # a late response to the closed round changes nothing
+    late = response_frame(2, 3, old.nonce, to_fixed(1.0), now, nonce=77)
+    assert accused.receive(late, now) == []
+    assert accused.collect is None
+
+    # a new challenge opens a fresh round at once
+    out = accused.receive(world.nodes[2].initiate_challenge(3, now)[0].data, now)
+    assert [o.mess_type for o in out] == [RepMessType.CHALLENGE_ACK,
+                                          RepMessType.VERIFY_BEHAVIOR]
+    fresh = accused.collect
+    assert fresh is not old and fresh.nonce != old.nonce
+    # ... and a late response to the old round does not count toward it
+    late = response_frame(2, 3, old.nonce, to_fixed(1.0), now, nonce=78)
+    assert accused.receive(late, now) == []
+    assert fresh.collected == {}
+    world.deliver(3, out[1:], now + 1)
+    assert accused.collect is None and set(fresh.collected) == {1, 2}
+    assert sum(kind == "cert_issued" for kind, _, _ in events) == issued + 1
 
 
 def test_certificate_with_out_of_range_response_logged_as_malformed():
@@ -370,8 +417,8 @@ def primed_node():
     node.receive(world.nodes[1].initiate_challenge(3, 1000)[0].data, 1000)
     node.initiate_challenge(5, 1000)
     node.raise_global_alarm(4, 1000)
-    (collect_nonce,) = node.collects
-    return node, [collect_nonce, node.challenges[5].nonce, node.alarms[4].nonce]
+    return node, [node.collect.nonce, node.challenges[5].nonce,
+                  node.alarms[4].nonce]
 
 
 @pytest.mark.parametrize("mtype", list(RepMessType), ids=lambda t: t.name)

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from trustwatch import harness, messages, trust_math
 from trustwatch.node_protocol import Node
 from trustwatch.sim import (
     EV_CTRL,
+    EV_SERVICE,
     PRESETS,
     AdversaryProfile,
     ConfigInvalid,
@@ -39,7 +41,8 @@ def test_config_defaults_valid():
 def test_config_collects_all_problems():
     cfg = ScenarioConfig(duration_s=-1, node_count=0, alpha=1.5,
                          mobility_model="teleport", cache_capacity=0,
-                         piggyback_budget=-1, pause_s=-1)
+                         piggyback_budget=-1, pause_s=-1,
+                         exchange_interval_s=0.0004)
     with pytest.raises(ConfigInvalid) as err:
         cfg.validate()
     text = str(err.value)
@@ -50,6 +53,8 @@ def test_config_collects_all_problems():
     assert "cache_capacity" in text
     assert "piggyback_budget" in text
     assert "pause_s" in text
+    assert "exchange_interval_s must be at least 0.001" in text
+    assert "two distinct endpoints" in text
 
 
 @pytest.mark.parametrize("positions, problems", [
@@ -226,7 +231,8 @@ def test_incremental_topology_matches_dense_recompute():
         for i, nid in enumerate(sim.ids):
             expect = [int(j) + 1 for j in np.flatnonzero(want[i])]
             assert sim.neighbor_lists[i] == expect, f"step {step} node {nid}"
-            assert sim.nodes[nid].neighbors == expect, f"step {step} node {nid}"
+            assert list(sim.nodes[nid].neighbors) == expect, \
+                f"step {step} node {nid}"
         assert sim.ever_neighbors == ever, f"step {step}"
     assert changed_steps > 100 and unchanged_steps > 0
 
@@ -446,6 +452,40 @@ def test_congestion_preset_overflows_buffers():
     res = run_scenario(PRESETS["congestion"](), seed=2)
     assert sum(c["dropped_buffer"] for c in res.flow_counters.values()) > 0
     assert res.conservation_ok()
+
+
+class RelayCheckedSimulator(Simulator):
+    """Checks after every event that each relay with a non-empty buffer
+    has exactly one EV_SERVICE queued and each empty relay has none."""
+
+    def run(self):
+        self.events = self.deepest = 0
+        for name in [n for n in vars(Simulator) if n.startswith("_handle_")]:
+            setattr(self, name, self._checked(getattr(self, name)))
+        return super().run()
+
+    def _checked(self, handler):
+        def handle_then_check(*args):
+            handler(*args)
+            self.events += 1
+            queued = Counter(a[0] for _, _, kind, a in self._queue
+                             if kind == EV_SERVICE)
+            for nid, buffer in self.buffers.items():
+                assert queued[nid] == (1 if buffer else 0), \
+                    f"t={self.now} relay {nid}: {len(buffer)} buffered, " \
+                    f"{queued[nid]} services queued"
+                self.deepest = max(self.deepest, len(buffer))
+        return handle_then_check
+
+
+def test_each_busy_relay_has_exactly_one_service_queued():
+    cfg = replace(PRESETS["congestion"](), duration_s=30.0, rng_seed=2)
+    sim = RelayCheckedSimulator(cfg)
+    res = sim.run()
+    assert sim.events > 1000
+    # relays filled to capacity, so the invariant held through overflow
+    assert sim.deepest == sim.cfg.buffer_capacity
+    assert sum(c["dropped_buffer"] for c in res.flow_counters.values()) > 0
 
 
 def test_adversaries_get_isolated_and_logged():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
@@ -216,15 +217,26 @@ class SweepSpec:
     VARIABLES = ("node_count", "f_fraction", "malicious_fraction", "max_speed")
 
     def validate(self) -> None:
+        """Check the sweep and the config of each of its runs, so that a bad
+        value stops the sweep before its first run."""
         problems = []
         if self.variable not in self.VARIABLES:
             problems.append(f"variable must be one of {self.VARIABLES}")
         if not self.values:
             problems.append("values must be non-empty")
+        if not all(math.isfinite(v) for v in self.values):
+            problems.append("values must be finite")
         if self.repetitions < 1:
             problems.append("repetitions must be >= 1")
         if problems:
             raise ConfigInvalid(problems)
+        for value in self.values:
+            for rep in range(self.repetitions):
+                try:
+                    self.config_for(value, rep).validate()
+                except ConfigInvalid as exc:
+                    raise ConfigInvalid([f"{self.variable} = {value:g}: {p}"
+                                         for p in exc.problems]) from None
 
     def config_for(self, value: float, rep: int) -> ScenarioConfig:
         cfg = self.base

@@ -36,7 +36,6 @@ HEADER_LEN = 30
 TAG_LEN = 32
 MIN_FRAME_LEN = HEADER_LEN + TAG_LEN
 MAX_PAYLOAD = 65535
-AUTHORITY_ID = 0
 # entries each memo of an Authority holds at most
 TAG_MEMO_SIZE = 2048
 FRAME_MEMO_SIZE = 1024
@@ -70,10 +69,6 @@ class LengthMismatch(MessageError):
 
 
 class PayloadTooLarge(MessageError):
-    pass
-
-
-class UnknownBinding(MessageError):
     pass
 
 
@@ -118,86 +113,65 @@ def tag(message_bytes: bytes, secret: bytes) -> bytes:
     return hashlib.blake2b(message_bytes, key=secret, digest_size=TAG_LEN).digest()
 
 
-def binding_of(secret: bytes) -> bytes:
-    """Public binding derived from a secret; what the registry publishes."""
-    return hashlib.blake2b(secret, digest_size=TAG_LEN, person=b"twbind").digest()
-
-
 class Authority:
     """Simulated certifying authority and public directory.
 
-    Holds the secret-to-binding registry used to check authenticity tags
+    Holds each enrolled node's secret, used to check authenticity tags
     (the simulator's stand-in for public-key verification), and four
     memos over it that every node of one simulation shares:
 
-    - ``verify_node`` results, keyed on (binding, message bytes, tag);
+    - ``verify_node`` results, keyed on (node id, message bytes, tag);
     - ``open_frame`` results, keyed on the frame bytes;
     - ``open_certificate`` results, keyed on the certificate bytes;
     - ``check_certificate`` verdicts, keyed on (certificate bytes,
       threshold).
 
-    Each is a pure function of its key and the registry, and a broadcast
-    hands the same bytes to every neighbor, so each distinct input is
-    decoded or checked once. A memo holds at most its ``*_MEMO_SIZE``
-    entries and drops its oldest ones first. ``register_secret`` and
-    ``enroll`` clear all four; decode failures are never memoized.
+    Each is a pure function of its key and the enrolled secrets, and a
+    broadcast hands the same bytes to every neighbor, so each distinct
+    input is decoded or checked once. A memo holds at most its
+    ``*_MEMO_SIZE`` entries and drops its oldest ones first. ``enroll``
+    clears all four; decode failures are never memoized.
     """
 
-    def __init__(self, secret: bytes = b"\x00" * 32):
-        self._secrets_by_binding: dict[bytes, bytes] = {}
-        self._binding_by_node: dict[int, bytes] = {}
-        self._tags: dict[tuple[bytes, bytes, bytes], bool] = {}
+    def __init__(self):
+        self._secrets: dict[int, bytes] = {}
+        self._tags: dict[tuple[int, bytes, bytes], bool] = {}
         self._frames: dict[bytes, tuple[ReputationHeader, bytes, bool]] = {}
         self._certs: dict[bytes, GroupTrustCertificate] = {}
         self._verdicts: dict[tuple[bytes, float], Verdict] = {}
-        self._binding_by_node[AUTHORITY_ID] = self.register_secret(secret)
 
-    def register_secret(self, secret: bytes) -> bytes:
-        binding = binding_of(secret)
-        self._secrets_by_binding[binding] = secret
+    def enroll(self, node_id: int, secret: bytes) -> None:
+        """Register a node's secret, replacing any earlier one."""
+        self._secrets[node_id] = secret
         self._tags.clear()
         self._frames.clear()
         self._certs.clear()
         self._verdicts.clear()
-        return binding
 
-    def enroll(self, node_id: int, secret: bytes) -> bytes:
-        """Register a node's secret and publish its binding."""
-        binding = self.register_secret(secret)
-        self._binding_by_node[node_id] = binding
-        return binding
-
-    def verify_tag(self, message_bytes: bytes, tag_: bytes, binding: bytes) -> bool:
-        try:
-            secret = self._secrets_by_binding[binding]
-        except KeyError:
-            raise UnknownBinding("binding not registered with the authority")
-        return hmac.compare_digest(tag(message_bytes, secret), tag_)
+    def verify_tag(self, node_id: int, message_bytes: bytes, tag_: bytes) -> bool:
+        """True if ``tag_`` is node_id's tag over ``message_bytes``; False
+        for a node that is not enrolled."""
+        secret = self._secrets.get(node_id)
+        return secret is not None and \
+            hmac.compare_digest(tag(message_bytes, secret), tag_)
 
     def verify_node(self, node_id: int, message_bytes: bytes, tag_: bytes) -> bool:
-        """True if ``tag_`` is node_id's tag over ``message_bytes``; False
-        for a node with no binding."""
-        binding = self._binding_by_node.get(node_id)
-        if binding is None:
-            return False
-        key = (binding, bytes(message_bytes), bytes(tag_))
+        """``verify_tag``, memoized."""
+        key = (node_id, bytes(message_bytes), bytes(tag_))
         ok = self._tags.get(key)
         if ok is None:
-            ok = _remember(self._tags, key,
-                           self.verify_tag(key[1], key[2], binding), TAG_MEMO_SIZE)
+            ok = _remember(self._tags, key, self.verify_tag(*key), TAG_MEMO_SIZE)
         return ok
 
     def open_frame(self, data: bytes) -> tuple[ReputationHeader, bytes, bool]:
         """(header, payload, tag_ok) of a frame: ``decode_rep_mess`` and
-        whether the tag verifies against the sender's binding. Raises what
+        whether the tag verifies as the sender's. Raises what
         ``decode_rep_mess`` raises. The tag is checked past the tag memo,
         whose entries the frame memo's own would only crowd out."""
         opened = self._frames.get(data)
         if opened is None:
             header, payload, frame_tag = decode_rep_mess(data)
-            binding = self._binding_by_node.get(header.sender)
-            ok = binding is not None and \
-                self.verify_tag(data[:-TAG_LEN], frame_tag, binding)
+            ok = self.verify_tag(header.sender, data[:-TAG_LEN], frame_tag)
             opened = _remember(self._frames, data, (header, payload, ok),
                                FRAME_MEMO_SIZE)
         return opened

@@ -229,12 +229,15 @@ class Node:
     def _nonce(self) -> int:
         return self.rng.getrandbits(64)
 
-    def _frame(self, mess_type: RepMessType, subject: int, rep_val_raw: int,
-               payload: bytes, now: int) -> bytes:
+    def _send(self, dest: int | None, mess_type: RepMessType, subject: int,
+              rep_val_raw: int, payload: bytes, now: int) -> Outgoing:
+        """A frame of ``mess_type``, signed and stamped now with a fresh
+        nonce, addressed to ``dest`` (None: every neighbor)."""
         header = ReputationHeader(
             mess_type=int(mess_type), subject=subject, rep_val_raw=rep_val_raw,
             timestamp_ms=now, nonce=self._nonce(), sender=self.node_id)
-        return messages.encode_rep_mess(header, payload, self.secret)
+        return Outgoing(dest, mess_type,
+                        messages.encode_rep_mess(header, payload, self.secret))
 
     def note_contact(self, other: int, now: int) -> None:
         if other != self.node_id:
@@ -279,9 +282,8 @@ class Node:
             + self.params.collect_window_ms + 5_000)
         self.last_challenge_ms[subject] = now
         self._log(now, "challenge", subject, "")
-        frame = self._frame(RepMessType.CHALLENGE, subject, 0,
-                            struct.pack(">Q", nonce), now)
-        return [Outgoing(subject, RepMessType.CHALLENGE, frame)]
+        return [self._send(subject, RepMessType.CHALLENGE, subject, 0,
+                           struct.pack(">Q", nonce), now)]
 
     # --- receive dispatch -------------------------------------------------
 
@@ -314,9 +316,8 @@ class Node:
         if header.subject != self.node_id or len(payload) != 8:
             return []
         (challenge_nonce,) = struct.unpack(">Q", payload)
-        out = [Outgoing(header.sender, RepMessType.CHALLENGE_ACK,
-                        self._frame(RepMessType.CHALLENGE_ACK, self.node_id, 0,
-                                    struct.pack(">Q", challenge_nonce), now))]
+        out = [self._send(header.sender, RepMessType.CHALLENGE_ACK, self.node_id,
+                          0, struct.pack(">Q", challenge_nonce), now)]
         # one collection round at a time; concurrent accusers share it
         if self.collect is not None:
             return out
@@ -328,9 +329,8 @@ class Node:
             nonce=nonce, deadline_ms=now + self.params.collect_window_ms,
             expected=expected)
         self._log(now, "verify_behavior", self.node_id, f"fanout={len(expected)}")
-        frame = self._frame(RepMessType.VERIFY_BEHAVIOR, self.node_id, 0,
-                            struct.pack(">Q", nonce), now)
-        out.append(Outgoing(None, RepMessType.VERIFY_BEHAVIOR, frame))
+        out.append(self._send(None, RepMessType.VERIFY_BEHAVIOR, self.node_id, 0,
+                              struct.pack(">Q", nonce), now))
         return out
 
     def _on_challenge_ack(self, header: ReputationHeader, payload: bytes,
@@ -362,9 +362,8 @@ class Node:
             self.secret)
         self.responded.add((accused, collect_nonce))
         resp_payload = _RESP_PAYLOAD.pack(w_raw, collect_nonce) + rtag
-        frame = self._frame(RepMessType.REP_RESPONSE, accused, m_raw,
-                            resp_payload, now)
-        return [Outgoing(accused, RepMessType.REP_RESPONSE, frame)]
+        return [self._send(accused, RepMessType.REP_RESPONSE, accused, m_raw,
+                           resp_payload, now)]
 
     def _on_rep_response(self, header: ReputationHeader, payload: bytes,
                          now: int) -> list[Outgoing]:
@@ -412,9 +411,8 @@ class Node:
         out = []
         for neighbor in targets:
             flag = b"\x01" if neighbor in seeds else b"\x00"
-            frame = self._frame(RepMessType.REP_BROADCAST, self.node_id, 0,
-                                flag + cert_bytes, now)
-            out.append(Outgoing(neighbor, RepMessType.REP_BROADCAST, frame))
+            out.append(self._send(neighbor, RepMessType.REP_BROADCAST,
+                                  self.node_id, 0, flag + cert_bytes, now))
         return out
 
     # --- certificate maintenance -----------------------------------------
@@ -499,9 +497,8 @@ class Node:
             targets = (set(self.neighbors) & set(cert.respondent_ids())) \
                 - {from_node, cert.subject, self.node_id}
             for neighbor in sorted(targets):
-                frame = self._frame(RepMessType.REP_BROADCAST, cert.subject, 0,
-                                    b"\x01" + cert_bytes, now)
-                out.append(Outgoing(neighbor, RepMessType.REP_BROADCAST, frame))
+                out.append(self._send(neighbor, RepMessType.REP_BROADCAST,
+                                      cert.subject, 0, b"\x01" + cert_bytes, now))
         if t_new < trust_math.MALICIOUS_BELOW:
             self.schedule_alarm(cert.subject, now)
         return out
@@ -563,8 +560,7 @@ class Node:
         self.flood_seen.add((subject, self.node_id, nonce))
         self._log(now, "alarm_raised", subject, "")
         payload = _ALARM_PAYLOAD.pack(0, self.node_id, nonce)
-        frame = self._frame(RepMessType.GLOBAL_ALARM, subject, 0, payload, now)
-        return [Outgoing(None, RepMessType.GLOBAL_ALARM, frame)]
+        return [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0, payload, now)]
 
     def _on_global_alarm(self, header: ReputationHeader, payload: bytes,
                          now: int) -> list[Outgoing]:
@@ -581,9 +577,8 @@ class Node:
             # someone else beat this node's own pending raise to it
             self.pending_alarms.pop(subject, None)
             # re-broadcast once, then vote if this node has an opinion
-            out = [Outgoing(None, RepMessType.GLOBAL_ALARM,
-                            self._frame(RepMessType.GLOBAL_ALARM, subject, 0,
-                                        payload, now))]
+            out = [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0,
+                              payload, now)]
             if subject == self.node_id or raiser == self.node_id:
                 return out
             vote = self._alarm_vote(subject, now)
@@ -595,10 +590,8 @@ class Node:
             vote_payload = _ALARM_PAYLOAD.pack(0, raiser, alarm_nonce) + \
                 _VOTE_RECORD.pack(self.node_id, 1 if vote else 0) + vtag
             self._log(now, "vote", subject, f"v={int(vote)} to={raiser}")
-            out.append(Outgoing(raiser, RepMessType.ALARM_VOTE,
-                                self._frame(RepMessType.ALARM_VOTE, subject,
-                                            to_fixed(1.0) if vote else 0,
-                                            vote_payload, now)))
+            out.append(self._send(raiser, RepMessType.ALARM_VOTE, subject,
+                                  to_fixed(1.0) if vote else 0, vote_payload, now))
             return out
         if kind == 1:
             return self._on_verdict(subject, raiser, alarm_nonce, payload, now)
@@ -661,9 +654,8 @@ class Node:
         payload = _ALARM_PAYLOAD.pack(1, self.node_id, state.nonce) + \
             struct.pack(">H", total) + records
         self.flood_seen.add((state.subject, self.node_id, state.nonce, "v"))
-        frame = self._frame(RepMessType.GLOBAL_ALARM, state.subject, 0,
-                            payload, now)
-        return [Outgoing(None, RepMessType.GLOBAL_ALARM, frame)]
+        return [self._send(None, RepMessType.GLOBAL_ALARM, state.subject, 0,
+                           payload, now)]
 
     def _on_verdict(self, subject: int, raiser: int, alarm_nonce: int,
                     payload: bytes, now: int) -> list[Outgoing]:
@@ -695,9 +687,7 @@ class Node:
             seen_voters.add(voter)
             total += 1
             yes += 1 if vote else 0
-        out = [Outgoing(None, RepMessType.GLOBAL_ALARM,
-                        self._frame(RepMessType.GLOBAL_ALARM, subject, 0,
-                                    payload, now))]
+        out = [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0, payload, now)]
         if total >= self.params.min_voters and 2 * yes > total and \
                 subject != self.node_id:
             self.isolated.add(subject)

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -98,6 +99,10 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         problems = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"{f.name} must be finite")
         for name in ("duration_s", "area_width_m", "area_height_m",
                      "tx_range_m", "flow_rate_pps", "exchange_interval_s"):
             if getattr(self, name) <= 0:
@@ -121,12 +126,12 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 problems.append(f"{name} must be in [0, 1]")
-        if self.delta < 0:
-            problems.append("delta must be >= 0")
-        if self.pause_s < 0:
-            problems.append("pause_s must be >= 0")
-        if self.piggyback_budget < 0:
-            problems.append("piggyback_budget must be >= 0")
+        for name in ("delta", "pause_s", "piggyback_budget", "monitor_window_s",
+                     "collect_window_s", "vote_window_s", "interaction_window_s",
+                     "overhead_window_s", "alarm_cooldown_s",
+                     "challenge_cooldown_s", "challenge_ack_deadline_s"):
+            if getattr(self, name) < 0:
+                problems.append(f"{name} must be >= 0")
         if 0 < self.exchange_interval_s and int(self.exchange_interval_s * 1000) == 0:
             # the period is truncated to whole ms, and a 0 ms period would
             # repeat the exchange at one instant forever
@@ -184,27 +189,17 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class AdversaryProfile:
-    drop_prob: float = 1.0
-    tamper_prob: float = 0.0
-    drops_certificates: bool = False
-    drops_feedback_in_aggregate: bool = False
-    tampers_certificates: bool = False
-    false_accuser: bool = False
-
-
 class AdversaryNode(Node):
-    """Protocol participant with misbehaving control-plane hooks. Data
-    plane misbehavior (packet drops/tampering) lives in the simulator's
-    forwarding path, keyed by the same profile."""
+    """Protocol participant with misbehaving control-plane hooks, set by
+    the scenario's ``adv_*`` fields. Data plane misbehavior (packet
+    drops/tampering) lives in the simulator's forwarding path."""
 
-    def __init__(self, *args, profile: AdversaryProfile, **kwargs):
+    def __init__(self, *args, config: ScenarioConfig, **kwargs):
         super().__init__(*args, **kwargs)
-        self.profile = profile
+        self.cfg = config
 
     def _select_responses(self, responses: list[CertResponse]) -> list[CertResponse]:
-        if not self.profile.drops_feedback_in_aggregate:
+        if not self.cfg.adv_drops_feedback:
             return responses
         # compared as group_trust splits them: a favourable response stays
         threshold = self.params.maliciousness_threshold
@@ -212,11 +207,11 @@ class AdversaryNode(Node):
                 if messages.from_fixed(r.maliciousness_raw) < threshold]
 
     def shares_cache(self) -> bool:
-        return not self.profile.drops_certificates
+        return not self.cfg.adv_drops_certificates
 
     def outgoing_cache_bytes(self, key: tuple) -> bytes | None:
         data = self.cache.get(key)
-        if data is None or not self.profile.tampers_certificates:
+        if data is None or not self.cfg.adv_tampers_certificates:
             return data
         # flip a bit in the body so the issuer tag no longer verifies
         mutated = bytearray(data)
@@ -328,7 +323,7 @@ def _checked_positions(positions, config: ScenarioConfig) -> np.ndarray:
 class Simulator:
     def __init__(self, config: ScenarioConfig,
                  positions: list[tuple[float, float]] | None = None,
-                 profiles: dict[int, AdversaryProfile] | None = None):
+                 malicious: set[int] | None = None):
         config.validate()
         self.cfg = config
         self.rng = random.Random(config.rng_seed)
@@ -339,32 +334,24 @@ class Simulator:
 
         n = config.node_count
         self.ids = list(range(1, n + 1))
-        self.authority = messages.Authority(secret=self.rng.randbytes(32))
+        # 32 bytes nothing uses: the authority once had a secret of its own.
+        # The draw keeps each seed's random stream, so every recorded log
+        # digest stays the same.
+        self.rng.randbytes(32)
+        self.authority = messages.Authority()
         params = config.protocol_params()
 
-        if profiles is None:
-            malicious_ids = sorted(self.rng.sample(self.ids, config.malicious_count))
-            profiles = {
-                mid: AdversaryProfile(
-                    drop_prob=config.drop_prob,
-                    tamper_prob=config.tamper_prob,
-                    drops_certificates=config.adv_drops_certificates,
-                    drops_feedback_in_aggregate=config.adv_drops_feedback,
-                    tampers_certificates=config.adv_tampers_certificates,
-                    false_accuser=config.adv_false_accuser,
-                )
-                for mid in malicious_ids
-            }
-        self.profiles = profiles
-        self.malicious = set(profiles)
+        if malicious is None:
+            malicious = self.rng.sample(self.ids, config.malicious_count)
+        self.malicious = set(malicious)
 
         self.nodes: dict[int, Node] = {}
         for nid in self.ids:
             secret = self.rng.randbytes(32)
             self.authority.enroll(nid, secret)
-            if nid in self.profiles:
+            if nid in self.malicious:
                 node = AdversaryNode(nid, secret, self.authority, params,
-                                     seed=config.rng_seed, profile=self.profiles[nid])
+                                     seed=config.rng_seed, config=config)
             else:
                 node = Node(nid, secret, self.authority, params,
                             seed=config.rng_seed)
@@ -424,10 +411,9 @@ class Simulator:
         for fid in self.flows:
             start = self.rng.randrange(period)
             self._push(start, EV_FLOW, fid)
-        if any(p.false_accuser for p in self.profiles.values()):
-            for nid in sorted(self.profiles):
-                if self.profiles[nid].false_accuser:
-                    self._push(30_000 + self.rng.randrange(5_000), EV_ACCUSE, nid)
+        if config.adv_false_accuser:
+            for nid in sorted(self.malicious):
+                self._push(30_000 + self.rng.randrange(5_000), EV_ACCUSE, nid)
 
     # --- hooks and logging -----------------------------------------------
 
@@ -695,8 +681,7 @@ class Simulator:
             # share the verdict and do not count it against the relay
             self._drop_packet(packet, "isolated_src", nid, observed=False)
             return
-        profile = self.profiles.get(nid)
-        if profile is not None and self.rng.random() < profile.drop_prob:
+        if nid in self.malicious and self.rng.random() < self.cfg.drop_prob:
             self._drop_packet(packet, "malicious", nid, observed=True)
             return
         buffer = self.buffers[nid]
@@ -723,9 +708,8 @@ class Simulator:
             if flow.route == packet.route:
                 flow.route = None
             return
-        profile = self.profiles.get(nid)
         outcome = OUTCOME_OK
-        if profile is not None and self.rng.random() < profile.tamper_prob:
+        if nid in self.malicious and self.rng.random() < self.cfg.tamper_prob:
             packet.tampered = True
             outcome = OUTCOME_MODIFIED
         if packet.watched_by is not None:

@@ -115,8 +115,12 @@ def _run(tmp_path, lines):
     (_seeded_run, "", "abc"),
     (_run, "exchange_interval_s = 0.0004\n", None),
     (_run, "node_count = 1\nflow_count = 1\n", None),
+    (_run, "duration_s = inf\n", None),
+    (_run, "vote_window_s = -5\n", None),
+    (_sweep, "values = 5, nan\nrepetitions = 1\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
-        "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node"])
+        "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
+        "run-infinite-duration", "run-negative-window", "sweep-nan-value"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:

@@ -126,6 +126,22 @@ def test_sweep_missing_keys_rejected():
         parse_sweep_file("values = 1, 2\n")
 
 
+@pytest.mark.parametrize("values, problem", [
+    ([10, 1], "node_count = 1: node_count must be >= 2"),
+    ([10, float("nan")], "values must be finite"),
+], ids=["node-count-1", "nan"])
+def test_sweep_checks_every_run_before_the_first(monkeypatch, values, problem):
+    def ran(cfg):
+        raise AssertionError(f"a {cfg.node_count}-node scenario ran")
+    monkeypatch.setattr(harness, "run_scenario", ran)
+    spec = SweepSpec(variable="node_count", values=values, repetitions=2,
+                     base=ScenarioConfig(node_count=10, flow_count=3,
+                                         malicious_count=1, duration_s=10))
+    with pytest.raises(ConfigInvalid) as err:
+        run_sweep(spec)
+    assert problem in str(err.value)
+
+
 def test_run_sweep_and_csv_deterministic():
     spec = parse_sweep_file(SWEEP_TEXT)
     rows = run_sweep(spec)

@@ -23,7 +23,6 @@ from trustwatch.messages import (
     RepValOverflow,
     ReputationHeader,
     Truncated,
-    UnknownBinding,
     UnknownType,
     Verdict,
     build_certificate,
@@ -211,9 +210,25 @@ def test_authority_tag_verification(authority):
     assert not authority.verify_node(999, body, t)
 
 
-def test_authority_unknown_binding_raises(authority):
-    with pytest.raises(UnknownBinding):
-        authority.verify_tag(b"x", b"y" * TAG_LEN, b"nope" * 8)
+def test_authority_rejects_tags_of_a_node_not_enrolled(authority):
+    body = b"hello world"
+    for nid in (0, 999):
+        secret = bytes([nid % 256]) * 16
+        assert not authority.verify_tag(nid, body, tag(body, secret))
+        assert not authority.verify_node(nid, body, tag(body, secret))
+    # node 0 is no node: its frames fail the tag check, whoever signs them
+    node = Node(1, bytes([1]) * 16, authority, ProtocolParams())
+    events = []
+    node.on_event = lambda now, kind, subject, detail: events.append(
+        (kind, subject))
+    for signer in (0, 1):
+        header = ReputationHeader(mess_type=int(RepMessType.CHALLENGE),
+                                  subject=1, rep_val_raw=0, timestamp_ms=0,
+                                  nonce=signer, sender=0)
+        frame = encode_rep_mess(header, b"", bytes([signer]) * 16)
+        assert not authority.open_frame(frame)[2]
+        assert node.receive(frame, 1) == []
+    assert events == [("bad_tag", 0)] * 2
 
 
 # --- the authority's memos ------------------------------------------------

@@ -522,7 +522,7 @@ def test_forged_verdict_without_quorum_rejected():
     own = vote_sign_bytes(4, 1, 1, nonce, True)
     record = _VOTE_RECORD.pack(1, 1) + tag(own, secret_for(1))
     payload = _ALARM_PAYLOAD.pack(1, 1, nonce) + struct.pack(">H", 1) + record
-    frame = accuser._frame(RepMessType.GLOBAL_ALARM, 4, 0, payload, 1000)
+    frame = accuser._send(None, RepMessType.GLOBAL_ALARM, 4, 0, payload, 1000).data
     world.nodes[2].receive(frame, 1001)
     assert 4 not in world.nodes[2].isolated
 
@@ -538,7 +538,7 @@ def test_forged_verdict_with_invalid_votes_rejected():
         key = secret_for(1) if voter == 1 else b"forged" * 5 + b"xx"
         records += _VOTE_RECORD.pack(voter, 1) + tag(signed, key)
     payload = _ALARM_PAYLOAD.pack(1, 1, nonce) + struct.pack(">H", 4) + records
-    frame = accuser._frame(RepMessType.GLOBAL_ALARM, 4, 0, payload, 1000)
+    frame = accuser._send(None, RepMessType.GLOBAL_ALARM, 4, 0, payload, 1000).data
     world.nodes[2].receive(frame, 1001)
     assert 4 not in world.nodes[2].isolated
 
@@ -551,7 +551,8 @@ def test_valid_verdict_accepted_by_third_party():
         signed = vote_sign_bytes(4, 1, voter, nonce, True)
         records += _VOTE_RECORD.pack(voter, 1) + tag(signed, secret_for(voter))
     payload = _ALARM_PAYLOAD.pack(1, 1, nonce) + struct.pack(">H", 3) + records
-    frame = world.nodes[1]._frame(RepMessType.GLOBAL_ALARM, 4, 0, payload, 1000)
+    frame = world.nodes[1]._send(None, RepMessType.GLOBAL_ALARM, 4, 0,
+                                 payload, 1000).data
     world.nodes[2].receive(frame, 1001)
     assert 4 in world.nodes[2].isolated
 
@@ -571,7 +572,7 @@ def test_verdict_with_a_flipped_vote_tag_is_tallied_on_its_own_bytes():
     valid = verdict_payload(4, 1, nonce, (1, 2, 3))
     raiser = world.nodes[1]
     world.nodes[2].receive(
-        raiser._frame(RepMessType.GLOBAL_ALARM, 4, 0, valid, 1000), 1001)
+        raiser._send(None, RepMessType.GLOBAL_ALARM, 4, 0, valid, 1000).data, 1001)
     assert 4 in world.nodes[2].isolated
     # the same verdict with voter 3's tag flipped, to a node that has not
     # seen the valid one, after the valid one's tags were checked
@@ -579,7 +580,7 @@ def test_verdict_with_a_flipped_vote_tag_is_tallied_on_its_own_bytes():
     flipped[-1] ^= 0x01
     flipped = bytes(flipped)
     out = world.nodes[5].receive(
-        raiser._frame(RepMessType.GLOBAL_ALARM, 4, 0, flipped, 1000), 1001)
+        raiser._send(None, RepMessType.GLOBAL_ALARM, 4, 0, flipped, 1000).data, 1001)
     assert 4 not in world.nodes[5].isolated  # two valid votes of three
     assert [o.data[messages.HEADER_LEN:-messages.TAG_LEN] for o in out] == [flipped]
 
@@ -589,14 +590,15 @@ def test_malformed_verdict_is_not_rebroadcast():
     nonce = 46
     short = verdict_payload(4, 1, nonce, (1, 2, 3), count=4)
     for nid in (2, 5):  # the second receiver gets the memoized frame
-        frame = world.nodes[1]._frame(RepMessType.GLOBAL_ALARM, 4, 0, short, 1000)
+        frame = world.nodes[1]._send(None, RepMessType.GLOBAL_ALARM, 4, 0,
+                                     short, 1000).data
         assert world.nodes[nid].receive(frame, 1001) == []
         assert (4, 1, nonce, "v") in world.nodes[nid].flood_seen
         assert 4 not in world.nodes[nid].isolated
     # the flood key was recorded: a well-formed verdict with the same key
     # is a duplicate
     valid = verdict_payload(4, 1, nonce, (1, 2, 3))
-    frame = world.nodes[1]._frame(RepMessType.GLOBAL_ALARM, 4, 0, valid, 1000)
+    frame = world.nodes[1]._send(None, RepMessType.GLOBAL_ALARM, 4, 0, valid, 1000).data
     assert world.nodes[2].receive(frame, 1002) == []
     assert 4 not in world.nodes[2].isolated
 

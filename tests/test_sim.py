@@ -1,6 +1,7 @@
 """Simulator mechanics: configuration, mobility, routing, accounting,
 and determinism."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -17,7 +18,7 @@ from trustwatch.sim import (
     EV_CTRL,
     EV_SERVICE,
     PRESETS,
-    AdversaryProfile,
+    AdversaryNode,
     ConfigInvalid,
     ScenarioConfig,
     Simulator,
@@ -42,7 +43,11 @@ def test_config_collects_all_problems():
     cfg = ScenarioConfig(duration_s=-1, node_count=0, alpha=1.5,
                          mobility_model="teleport", cache_capacity=0,
                          piggyback_budget=-1, pause_s=-1,
-                         exchange_interval_s=0.0004)
+                         exchange_interval_s=0.0004, delta=float("nan"),
+                         monitor_window_s=float("nan"), tx_range_m=float("nan"),
+                         max_speed_mps=float("inf"), area_height_m=float("-inf"),
+                         vote_window_s=-5.0,
+                         alarm_cooldown_s=-1.0, challenge_ack_deadline_s=-0.5)
     with pytest.raises(ConfigInvalid) as err:
         cfg.validate()
     text = str(err.value)
@@ -54,6 +59,11 @@ def test_config_collects_all_problems():
     assert "piggyback_budget" in text
     assert "pause_s" in text
     assert "exchange_interval_s must be at least 0.001" in text
+    for name in ("delta", "monitor_window_s", "tx_range_m", "max_speed_mps",
+                 "area_height_m"):
+        assert f"{name} must be finite" in text
+    for name in ("vote_window_s", "alarm_cooldown_s", "challenge_ack_deadline_s"):
+        assert f"{name} must be >= 0" in text
     assert "two distinct endpoints" in text
 
 
@@ -507,17 +517,18 @@ def test_seed_override_and_determinism():
     assert harness.compute_metrics(a).to_row() == harness.compute_metrics(b).to_row()
 
 
-def test_explicit_profiles_override_malicious_sampling():
-    profiles = {3: AdversaryProfile(drop_prob=1.0)}
-    sim = Simulator(small_config(), profiles=profiles)
+def test_explicit_malicious_set_overrides_sampling():
+    sim = Simulator(small_config(), malicious={3})
     assert sim.malicious == {3}
+    assert [nid for nid, node in sim.nodes.items()
+            if isinstance(node, AdversaryNode)] == [3]
 
 
 def test_feedback_dropper_drops_exactly_what_group_trust_calls_adverse():
     # 0.57 * 10000 truncates to 5699, which used to drop raw 5699 as well
     threshold = 0.57
-    sim = Simulator(small_config(maliciousness_threshold=threshold),
-                    profiles={1: AdversaryProfile(drops_feedback_in_aggregate=True)})
+    sim = Simulator(small_config(maliciousness_threshold=threshold,
+                                 adv_drops_feedback=True), malicious={1})
     responses = [messages.CertResponse(2, 5699, 10000, b""),
                  messages.CertResponse(3, 5700, 10000, b"")]
     kept = sim.nodes[1]._select_responses(responses)
@@ -529,6 +540,19 @@ def test_feedback_dropper_drops_exactly_what_group_trust_calls_adverse():
          for r in responses], threshold)
     assert [o.respondent for o in group.majority] == [2]
     assert not group.majority_adverse
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    # 166 tampered deliveries, each seen by its watcher as outcome 2
+    (dict(tamper_prob=1.0, drop_prob=0.0),
+     "21ad38a9055cd26d58dbf00af8b80ca41be6723d3154262ecad2f6dd4d7d82dc"),
+    (dict(adv_drops_certificates=True),
+     "9bc5872d1e5014cb914fda1c43cee87db6850d25e7b8b5a0d3efdc21b66bf6a7"),
+], ids=["tamper", "drops-certificates"])
+def test_adversary_settings_no_benchmark_workload_sets_keep_their_log(
+        overrides, digest):
+    res = run_scenario(ScenarioConfig(rng_seed=5, duration_s=150, **overrides))
+    assert hashlib.sha256(res.render_log().encode()).hexdigest() == digest
 
 
 def test_log_is_time_ordered():

@@ -29,10 +29,10 @@ def _effective_seed(args_seed: int | None) -> int | None:
 def cmd_run(args) -> int:
     cfg = _load_scenario(args.scenario)
     seed = _effective_seed(args.seed)
-    result = run_scenario(cfg, seed=seed)
-    metrics = harness.compute_metrics(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_scenario(cfg, seed=seed)
+    metrics = harness.compute_metrics(result)
     (out_dir / "events.log").write_text(result.render_log())
     (out_dir / "metrics.json").write_text(
         json.dumps(metrics.to_row(), indent=2, sort_keys=True) + "\n")
@@ -50,9 +50,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = harness.parse_sweep_file(Path(args.spec).read_text())
-    rows = harness.run_sweep(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows = harness.run_sweep(spec)
     csv_path = out_dir / f"sweep_{spec.variable}.csv"
     csv_path.write_text(harness.sweep_csv(spec, rows))
     for metric, svg in harness.sweep_plots(spec, rows).items():
@@ -155,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

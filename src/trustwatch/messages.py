@@ -26,7 +26,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
 
 from . import trust_math
 
@@ -38,7 +38,6 @@ MIN_FRAME_LEN = HEADER_LEN + TAG_LEN
 MAX_PAYLOAD = 65535
 # entries each memo of an Authority holds at most
 TAG_MEMO_SIZE = 2048
-FRAME_MEMO_SIZE = 1024
 CERT_MEMO_SIZE = 256
 
 _HEADER = struct.Struct(">BBIHQQIH")
@@ -118,7 +117,7 @@ class Authority:
 
     Holds each enrolled node's secret, used to check authenticity tags
     (the simulator's stand-in for public-key verification), and four
-    memos over it that every node of one simulation shares:
+    ``lru_cache`` memos over it that every node of one simulation shares:
 
     - ``verify_node`` results, keyed on (node id, message bytes, tag);
     - ``open_frame`` results, keyed on the frame bytes;
@@ -126,27 +125,32 @@ class Authority:
     - ``check_certificate`` verdicts, keyed on (certificate bytes,
       threshold).
 
-    Each is a pure function of its key and the enrolled secrets, and a
-    broadcast hands the same bytes to every neighbor, so each distinct
-    input is decoded or checked once. A memo holds at most its
-    ``*_MEMO_SIZE`` entries and drops its oldest ones first. ``enroll``
-    clears all four; decode failures are never memoized.
+    Each is a pure function of its key and the enrolled secrets, so each
+    distinct input is decoded or checked once while it stays in its memo.
+    The frame memo holds only the last frame: a broadcast is one event,
+    so the next recipient of the same event is the one that opens a frame
+    again. ``enroll`` clears all four; a call that raises is never cached.
     """
 
     def __init__(self):
         self._secrets: dict[int, bytes] = {}
-        self._tags: dict[tuple[int, bytes, bytes], bool] = {}
-        self._frames: dict[bytes, tuple[ReputationHeader, bytes, bool]] = {}
-        self._certs: dict[bytes, GroupTrustCertificate] = {}
-        self._verdicts: dict[tuple[bytes, float], Verdict] = {}
+        # each memo looks its function up when called, so a method or
+        # codec function replaced after this Authority was built still
+        # sees every miss
+        self._tags = lru_cache(TAG_MEMO_SIZE)(
+            lambda node_id, body, tag_: self.verify_tag(node_id, body, tag_))
+        self._frames = lru_cache(1)(self._open_frame)
+        self._certs = lru_cache(CERT_MEMO_SIZE)(
+            lambda data: decode_certificate(data))
+        self._verdicts = lru_cache(CERT_MEMO_SIZE)(
+            lambda data, threshold: verify_group_certificate(
+                self.open_certificate(data), threshold, self))
 
     def enroll(self, node_id: int, secret: bytes) -> None:
         """Register a node's secret, replacing any earlier one."""
         self._secrets[node_id] = secret
-        self._tags.clear()
-        self._frames.clear()
-        self._certs.clear()
-        self._verdicts.clear()
+        for memo in (self._tags, self._frames, self._certs, self._verdicts):
+            memo.cache_clear()
 
     def verify_tag(self, node_id: int, message_bytes: bytes, tag_: bytes) -> bool:
         """True if ``tag_`` is node_id's tag over ``message_bytes``; False
@@ -157,54 +161,29 @@ class Authority:
 
     def verify_node(self, node_id: int, message_bytes: bytes, tag_: bytes) -> bool:
         """``verify_tag``, memoized."""
-        key = (node_id, bytes(message_bytes), bytes(tag_))
-        ok = self._tags.get(key)
-        if ok is None:
-            ok = _remember(self._tags, key, self.verify_tag(*key), TAG_MEMO_SIZE)
-        return ok
+        return self._tags(node_id, bytes(message_bytes), bytes(tag_))
 
     def open_frame(self, data: bytes) -> tuple[ReputationHeader, bytes, bool]:
         """(header, payload, tag_ok) of a frame: ``decode_rep_mess`` and
         whether the tag verifies as the sender's. Raises what
-        ``decode_rep_mess`` raises. The tag is checked past the tag memo,
-        whose entries the frame memo's own would only crowd out."""
-        opened = self._frames.get(data)
-        if opened is None:
-            header, payload, frame_tag = decode_rep_mess(data)
-            ok = self.verify_tag(header.sender, data[:-TAG_LEN], frame_tag)
-            opened = _remember(self._frames, data, (header, payload, ok),
-                               FRAME_MEMO_SIZE)
-        return opened
+        ``decode_rep_mess`` raises."""
+        return self._frames(data)
+
+    def _open_frame(self, data: bytes) -> tuple[ReputationHeader, bytes, bool]:
+        # the tag is checked past the tag memo, whose entries the frame
+        # memo's own would only crowd out
+        header, payload, frame_tag = decode_rep_mess(data)
+        return header, payload, \
+            self.verify_tag(header.sender, data[:-TAG_LEN], frame_tag)
 
     def open_certificate(self, data: bytes) -> GroupTrustCertificate:
         """``decode_certificate(data)``, raising what it raises."""
-        cert = self._certs.get(data)
-        if cert is None:
-            cert = _remember(self._certs, data, decode_certificate(data),
-                             CERT_MEMO_SIZE)
-        return cert
+        return self._certs(data)
 
     def check_certificate(self, data: bytes, threshold: float) -> Verdict:
         """``verify_group_certificate`` of the certificate in ``data``,
         raising what ``decode_certificate`` raises."""
-        key = (data, threshold)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = _remember(self._verdicts, key, verify_group_certificate(
-                self.open_certificate(data), threshold, self), CERT_MEMO_SIZE)
-        return verdict
-
-
-def _remember(memo: dict, key, value, bound: int):
-    """Store key -> value in a memo of at most ``bound`` entries and return
-    value. A full memo first drops its oldest quarter in insertion order:
-    finding a dict's oldest entry walks the slots freed before it, so one
-    entry at a time would cost O(bound) per store."""
-    if len(memo) >= bound:
-        for old in list(islice(memo, max(1, bound // 4))):
-            del memo[old]
-    memo[key] = value
-    return value
+        return self._verdicts(data, threshold)
 
 
 def encode_rep_mess(header: ReputationHeader, payload: bytes,

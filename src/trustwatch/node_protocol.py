@@ -207,7 +207,7 @@ class Node:
         self.responded: set[tuple[int, int]] = set()
 
         self.cache: OrderedDict[tuple, bytes] = OrderedDict()
-        self.processed_certs: set[tuple] = set()
+        self.processed_certs: dict[tuple, int] = {}  # key -> accepted at ms
 
         self.alarms: dict[int, AlarmState] = {}
         self.pending_alarms: dict[int, int] = {}
@@ -216,9 +216,8 @@ class Node:
         self.flood_seen: set[tuple] = set()
         self.seen_nonces = ReplayFilter(params.replay_window_ms)
 
-        # hooks the simulator wires up
-        self.on_event = None          # fn(now_ms, kind, subject, detail)
-        self.on_cert_accepted = None  # fn(cert_key, now_ms)
+        # the hook the simulator wires up
+        self.on_event = None  # fn(now_ms, kind, subject, detail)
 
     # --- plumbing ---------------------------------------------------------
 
@@ -397,12 +396,10 @@ class Node:
             threshold=self.params.maliciousness_threshold,
             issuer_secret=self.secret)
         cert_bytes = messages.encode_certificate(cert)
-        self.processed_certs.add(cert.key())
+        self.processed_certs[cert.key()] = now
         self._cache_put(cert.key(), cert_bytes, now)
         self._log(now, "cert_issued", self.node_id,
                   f"gt={cert.group_trust_raw} n={len(cert.responses)}")
-        if self.on_cert_accepted is not None:
-            self.on_cert_accepted(cert.key(), now)
         # broadcast to all neighbors; a random F-fraction of them become
         # cache carriers (initial flood), the rest only process it
         targets = sorted(self.neighbors)
@@ -457,7 +454,7 @@ class Node:
                 self._condemn(cert.issuer, now)
             return []
 
-        self.processed_certs.add(key)
+        self.processed_certs[key] = now
         entry = self.table.setdefault(cert.subject, TableEntry())
         effective = [r for r in cert.responses if r.weight_raw > 0]
         fingerprint = frozenset(r.respondent for r in effective)
@@ -485,8 +482,6 @@ class Node:
         entry.accepted_respondent_sets.add(fingerprint)
         self._log(now, "cert_accepted", cert.subject,
                   f"t={t_new:.4f} b={b:.4f}")
-        if self.on_cert_accepted is not None:
-            self.on_cert_accepted(key, now)
         if cache:
             self._cache_put(key, cert_bytes, now)
 
@@ -748,12 +743,6 @@ class Node:
 
     def cache_replace(self, key: tuple, cert_bytes: bytes) -> None:
         self.cache[key] = cert_bytes
-
-    def receive_exchanged_cert(self, cert_bytes: bytes, from_node: int,
-                               now: int) -> list[Outgoing]:
-        self.note_contact(from_node, now)
-        return self.handle_certificate(cert_bytes, now, cache=True,
-                                       from_node=from_node)
 
     def piggyback_keys(self) -> list[tuple]:
         """The newest cache keys, at most ``piggyback_budget`` of them,

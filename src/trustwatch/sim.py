@@ -126,7 +126,8 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 problems.append(f"{name} must be in [0, 1]")
-        for name in ("delta", "pause_s", "piggyback_budget", "monitor_window_s",
+        for name in ("delta", "pause_s", "piggyback_budget", "min_samples",
+                     "monitor_window_s",
                      "collect_window_s", "vote_window_s", "interaction_window_s",
                      "overhead_window_s", "alarm_cooldown_s",
                      "challenge_cooldown_s", "challenge_ack_deadline_s"):
@@ -229,13 +230,11 @@ class Flow:
 
 @dataclass
 class DataPacket:
-    pid: int
     flow_id: int
     src: int
     dst: int
     route: list[int]
     hop_index: int
-    created_ms: int
     watched_by: int | None = None
     tampered: bool = False
 
@@ -356,7 +355,6 @@ class Simulator:
                 node = Node(nid, secret, self.authority, params,
                             seed=config.rng_seed)
             node.on_event = self._make_event_hook(nid)
-            node.on_cert_accepted = self._make_cert_hook(nid)
             self.nodes[nid] = node
 
         # mobility state (index i <-> node id i+1)
@@ -399,9 +397,6 @@ class Simulator:
 
         self.log: list[tuple] = []
         self.ledger: Counter = Counter()
-        self.cert_issued: dict = {}
-        self.cert_holders: dict = {}
-        self._pid = 0
 
         # initial schedule
         self._push(config.topology_step_ms, EV_TOPO)
@@ -420,14 +415,6 @@ class Simulator:
     def _make_event_hook(self, nid: int):
         def hook(now, kind, subject, detail):
             self.log.append((now, kind, nid, subject, detail))
-        return hook
-
-    def _make_cert_hook(self, nid: int):
-        def hook(key, now):
-            holders = self.cert_holders.setdefault(key, {})
-            holders.setdefault(nid, now)
-            if key not in self.cert_issued and key[1] == nid:
-                self.cert_issued[key] = now
         return hook
 
     def _log(self, kind: str, actor: int, subject: int, detail: str = "") -> None:
@@ -645,13 +632,11 @@ class Simulator:
             counters["no_route"] += 1
             flow.route = None
         else:
-            self._pid += 1
             watched = flow.src if self.rng.random() < self.cfg.monitor_sample_prob \
                 else None
             packet = DataPacket(
-                pid=self._pid, flow_id=fid, src=flow.src, dst=flow.dst,
-                route=list(flow.route), hop_index=1, created_ms=self.now,
-                watched_by=watched)
+                flow_id=fid, src=flow.src, dst=flow.dst,
+                route=list(flow.route), hop_index=1, watched_by=watched)
             counters["sent"] += 1
             self.ledger["pb_bytes"] += _KEY_BYTES * len(src_node.piggyback_keys())
             src_node.note_contact(packet.route[1], self.now)
@@ -748,8 +733,8 @@ class Simulator:
                 if data is not None:
                     self.ledger["msgs_exchange"] += 1
                     self.ledger["ctrl_bytes"] += len(data)
-                    out = self.nodes[dst].receive_exchanged_cert(
-                        data, src, self.now)
+                    out = self.nodes[dst].handle_certificate(
+                        data, self.now, cache=True, from_node=src)
                     if out:
                         self._emit(dst, out)
         for key in sorted(keys_a & keys_b):
@@ -814,13 +799,22 @@ class Simulator:
                 _, packet = args
                 self.flow_counters[packet.flow_id]["in_flight"] += 1
 
+        # who accepted each certificate when; it was issued when its
+        # issuer accepted it
+        cert_holders: dict[tuple, dict[int, int]] = {}
+        for nid, node in self.nodes.items():
+            for key, accepted_ms in node.processed_certs.items():
+                cert_holders.setdefault(key, {})[nid] = accepted_ms
+        cert_issued = {key: holders[key[1]] for key, holders in cert_holders.items()
+                       if key[1] in holders}
+
         return SimResult(
             config=self.cfg,
             log=self.log,
             ledger=self.ledger,
             malicious=set(self.malicious),
-            cert_issued=dict(self.cert_issued),
-            cert_holders={k: dict(v) for k, v in self.cert_holders.items()},
+            cert_issued=cert_issued,
+            cert_holders=cert_holders,
             ever_neighbors={k: set(v) for k, v in self.ever_neighbors.items()},
             isolated_final={nid: set(self.nodes[nid].isolated) for nid in self.ids},
             flow_counters={fid: dict(c) for fid, c in self.flow_counters.items()},

@@ -46,6 +46,30 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "{missing}"],
+    ["replay", "--log", "{missing}"],
+    ["sweep", "--spec", "{missing}"],
+    ["run", "--scenario", "{scenario}", "--out", "{scenario}"],
+    ["sweep", "--spec", "{spec}", "--out", "{scenario}"],
+], ids=["run-scenario", "replay-log", "sweep-spec", "run-out-is-a-file",
+        "sweep-out-is-a-file"])
+def test_unreadable_input_or_unwritable_output_is_an_error(
+        tmp_path, scenario_file, monkeypatch, capsys, argv):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("variable = max_speed\nvalues = 5\nrepetitions = 1\n")
+    paths = {"missing": tmp_path / "missing.txt", "scenario": scenario_file,
+             "spec": spec}
+    argv = [arg.format(**paths) for arg in argv]
+    # the error comes before any simulation
+    monkeypatch.setattr("trustwatch.cli.run_scenario", None)
+    monkeypatch.setattr("trustwatch.harness.run_sweep", None)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(paths["scenario" if "--out" in argv else "missing"]) in err
+
+
 def test_sweep_writes_csv_and_plots(tmp_path, capsys):
     spec = tmp_path / "sweep.txt"
     spec.write_text("variable = max_speed\nvalues = 5, 10\nrepetitions = 1\n"
@@ -118,9 +142,11 @@ def _run(tmp_path, lines):
     (_run, "duration_s = inf\n", None),
     (_run, "vote_window_s = -5\n", None),
     (_sweep, "values = 5, nan\nrepetitions = 1\n", None),
+    (_run, "min_samples = -3\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
         "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
-        "run-infinite-duration", "run-negative-window", "sweep-nan-value"])
+        "run-infinite-duration", "run-negative-window", "sweep-nan-value",
+        "run-negative-min-samples"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:

@@ -276,9 +276,12 @@ def test_reenrolling_a_node_changes_its_verdict(authority):
 def test_memos_stay_within_their_bounds(authority):
     secret = SIGNERS[2]
     bounds = {"_tags": messages.TAG_MEMO_SIZE,
-              "_frames": messages.FRAME_MEMO_SIZE,
+              "_frames": 1,
               "_certs": messages.CERT_MEMO_SIZE,
               "_verdicts": messages.CERT_MEMO_SIZE}
+    memos = {name: getattr(authority, name) for name in bounds}
+    assert {name: memo.cache_info().maxsize for name, memo in memos.items()} \
+        == bounds
     peak = dict.fromkeys(bounds, 0)
     frames = []
     for i in range(max(bounds.values()) + 100):
@@ -294,12 +297,15 @@ def test_memos_stay_within_their_bounds(authority):
         cert = body + tag(body, secret)
         assert authority.open_certificate(cert).issued_at_ms == i
         assert authority.check_certificate(cert, THRESHOLD) is Verdict.VALID
-        for name in bounds:
-            peak[name] = max(peak[name], len(getattr(authority, name)))
+        for name, memo in memos.items():
+            peak[name] = max(peak[name], memo.cache_info().currsize)
     assert all(0 < peak[name] <= bound for name, bound in bounds.items()), peak
-    # the oldest entries went first
-    assert frames[0] not in authority._frames
-    assert frames[-1] in authority._frames
+    # the oldest entries went first: the last frame is a hit, the first a miss
+    before = memos["_frames"].cache_info()
+    authority.open_frame(frames[-1])
+    assert memos["_frames"].cache_info().hits == before.hits + 1
+    authority.open_frame(frames[0])
+    assert memos["_frames"].cache_info().misses == before.misses + 1
 
 
 CERT_RESPONDENTS = (1, 2, 3)
@@ -359,7 +365,7 @@ def test_malformed_frame_logs_bad_frame_each_time_it_is_received(authority):
         assert node.receive(truncated, now) == []
     assert node.receive(bytearray(truncated), 4) == []
     assert events == [("bad_frame", "LengthMismatch")] * 4
-    assert authority._frames == {}
+    assert authority._frames.cache_info().currsize == 0
 
 
 # --- certificates ---------------------------------------------------------

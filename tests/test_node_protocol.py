@@ -697,11 +697,13 @@ def exchange_round(world, now):
             if b < a:
                 continue
             for key in sorted(snapshot[a] - snapshot[b]):
-                world.nodes[b].receive_exchanged_cert(
-                    world.nodes[a].outgoing_cache_bytes(key), a, now)
+                world.nodes[b].handle_certificate(
+                    world.nodes[a].outgoing_cache_bytes(key), now, cache=True,
+                    from_node=a)
             for key in sorted(snapshot[b] - snapshot[a]):
-                world.nodes[a].receive_exchanged_cert(
-                    world.nodes[b].outgoing_cache_bytes(key), b, now)
+                world.nodes[a].handle_certificate(
+                    world.nodes[b].outgoing_cache_bytes(key), now, cache=True,
+                    from_node=b)
 
 
 @pytest.mark.parametrize("budget,offered", [(0, 0), (2, 2), (9, 5)])
@@ -719,7 +721,7 @@ def seed_certs(world):
         cert = make_cert(nid, respondents, (0.0,) * len(respondents),
                          nonce=100 + nid, at_ms=0)
         data = encode_certificate(cert)
-        node.processed_certs.add(cert.key())
+        node.processed_certs[cert.key()] = 0
         node._cache_put(cert.key(), data, 0)
         keys.append(cert.key())
     return keys

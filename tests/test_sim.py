@@ -47,7 +47,8 @@ def test_config_collects_all_problems():
                          monitor_window_s=float("nan"), tx_range_m=float("nan"),
                          max_speed_mps=float("inf"), area_height_m=float("-inf"),
                          vote_window_s=-5.0,
-                         alarm_cooldown_s=-1.0, challenge_ack_deadline_s=-0.5)
+                         alarm_cooldown_s=-1.0, challenge_ack_deadline_s=-0.5,
+                         min_samples=-3)
     with pytest.raises(ConfigInvalid) as err:
         cfg.validate()
     text = str(err.value)
@@ -62,7 +63,8 @@ def test_config_collects_all_problems():
     for name in ("delta", "monitor_window_s", "tx_range_m", "max_speed_mps",
                  "area_height_m"):
         assert f"{name} must be finite" in text
-    for name in ("vote_window_s", "alarm_cooldown_s", "challenge_ack_deadline_s"):
+    for name in ("vote_window_s", "alarm_cooldown_s", "challenge_ack_deadline_s",
+                 "min_samples"):
         assert f"{name} must be >= 0" in text
     assert "two distinct endpoints" in text
 
@@ -553,6 +555,22 @@ def test_adversary_settings_no_benchmark_workload_sets_keep_their_log(
         overrides, digest):
     res = run_scenario(ScenarioConfig(rng_seed=5, duration_s=150, **overrides))
     assert hashlib.sha256(res.render_log().encode()).hexdigest() == digest
+
+
+def test_certificate_record_is_who_accepted_each_key_when():
+    """Pins every (certificate key, holder, acceptance time) of a run with
+    certificate rejects, and that a key was issued when its issuer
+    accepted it."""
+    res = run_scenario(ScenarioConfig(rng_seed=5, duration_s=150,
+                                      adv_drops_feedback=True,
+                                      adv_tampers_certificates=True))
+    record = sorted((key, sorted(holders.items()))
+                    for key, holders in res.cert_holders.items())
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == \
+        "53534109dabd62e0435ede92a9577a15b205bc22e07ed11a07f8e3533b321e3d"
+    assert len(res.cert_issued) == 15
+    assert all(res.cert_issued[key] == res.cert_holders[key][key[1]]
+               for key in res.cert_issued)
 
 
 def test_log_is_time_ordered():

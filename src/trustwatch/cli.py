@@ -102,13 +102,9 @@ def cmd_replay(args) -> int:
             raise ConfigInvalid([f"{args.log} line {lineno}: time, actor, "
                                  f"subject and a monitor_obs outcome must be "
                                  f"integers: {line!r}"])
-    if args.baseline != "loc":
-        print(f"unknown baseline {args.baseline!r}", file=sys.stderr)
-        return 2
     shim = SimResult(config=cfg, log=records, ledger={}, malicious=set(),
                      cert_issued={}, cert_holders={}, ever_neighbors={},
-                     isolated_final={}, flow_counters={},
-                     node_count=cfg.node_count)
+                     isolated_final={}, flow_counters={})
     alarms = harness.loc_baseline(shim)
     print(f"LOC alarms: {len(alarms)}")
     for t, observer, subject in alarms:
@@ -141,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="replay a log against a baseline")
     p_replay.add_argument("--log", required=True)
-    p_replay.add_argument("--baseline", default="loc")
+    p_replay.add_argument("--baseline", default="loc", choices=("loc",))
     p_replay.add_argument("--scenario", help="scenario file for monitor params")
     p_replay.set_defaults(fn=cmd_replay)
     return parser

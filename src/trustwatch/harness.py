@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
-from .node_protocol import MonitorWindow
+from .node_protocol import MonitorWindow, ms
 from .sim import ConfigInvalid, PRESETS, ScenarioConfig, SimResult, run_scenario
 
 
@@ -84,7 +84,7 @@ def compute_metrics(result: SimResult) -> MetricsReport:
             effective_times.append(
                 (max(holders[n] for n in targets) - issued_at) / 1000.0)
 
-    window_ms = int(result.config.overhead_window_s * 1000)
+    window_ms = ms(result.config.overhead_window_s)
     if alarm_events:
         start = min(t for t, _, _ in alarm_events)
         alarm_count_window = sum(1 for t, _, _ in alarm_events
@@ -119,8 +119,8 @@ def loc_baseline(result: SimResult) -> list[tuple[int, int, int]]:
     maliciousness threshold -- no challenge, no consensus, no suppression
     of repeats. The window and the threshold rule are the node's own.
     Returns (time_ms, observer, subject) alarms."""
-    params = result.config.protocol_params()
-    windows = defaultdict(partial(MonitorWindow, params.monitor_window_ms))
+    params = result.config
+    windows = defaultdict(partial(MonitorWindow, ms(params.monitor_window_s)))
     alarms: list[tuple[int, int, int]] = []
     for t, kind, actor, subject, detail in result.log:
         if kind != "monitor_obs":
@@ -141,7 +141,7 @@ def loc_alarm_count_window(result: SimResult,
     proto_alarms = [t for t, kind, _, _, _ in result.log if kind == "alarm_raised"]
     start_candidates = [alarms[0][0]] + proto_alarms[:1]
     start = min(start_candidates)
-    window_ms = int(result.config.overhead_window_s * 1000)
+    window_ms = ms(result.config.overhead_window_s)
     return sum(1 for t, _, _ in alarms if start <= t <= start + window_ms)
 
 

@@ -38,9 +38,14 @@ _VOTE_RECORD = struct.Struct(">IB")
 _RESP_PAYLOAD = struct.Struct(">HQ")
 
 
+def ms(seconds: float) -> int:
+    """A time in seconds as whole milliseconds, truncated toward zero."""
+    return int(seconds * 1000)
+
+
 @dataclass
 class ProtocolParams:
-    """Every protocol constant a scenario can set."""
+    """Every protocol constant a scenario can set, times in seconds."""
 
     alpha: float = 0.6
     alpha2: float = 0.8
@@ -48,25 +53,27 @@ class ProtocolParams:
     maliciousness_threshold: float = 0.5
     f_fraction: float = 0.5
 
-    monitor_window_ms: int = 30_000
+    monitor_window_s: float = 30.0
     monitor_threshold: float = 0.25
     min_samples: int = 10
 
-    challenge_ack_deadline_ms: int = 2_000
-    collect_window_ms: int = 3_000
-    vote_window_ms: int = 5_000
-    interaction_window_ms: int = 120_000
-    exchange_interval_ms: int = 60_000
-    alarm_cooldown_ms: int = 30_000
-    challenge_cooldown_ms: int = 60_000
+    challenge_ack_deadline_s: float = 2.0
+    collect_window_s: float = 3.0
+    vote_window_s: float = 5.0
+    interaction_window_s: float = 120.0
+    exchange_interval_s: float = 60.0
+    alarm_cooldown_s: float = 30.0
+    challenge_cooldown_s: float = 60.0
     min_voters: int = 3
     cache_capacity: int = 256
     piggyback_budget: int = 2
-    alarm_jitter_ms: int = 10_000
+
+    # not a field, so no scenario sets it; a test may set it on an instance
+    alarm_jitter_ms = 10_000
 
     @property
     def replay_window_ms(self) -> int:
-        return 2 * self.exchange_interval_ms
+        return 2 * ms(self.exchange_interval_s)
 
     def suspects(self, m: float, n: int) -> bool:
         """The watchdog rule, on a window's ``rate``: enough samples, and
@@ -100,29 +107,31 @@ class MonitorWindow:
 
 
 class ReplayFilter:
-    """(sender, nonce) keys of received frames, kept in two generations.
+    """Keys of received frames or alarm floods, kept in two generations.
 
     ``rotate`` drops the older generation and starts a new one once
     ``span`` ms have passed since the last rotation, so a key is kept for
     at least ``span`` ms after it was added. A node stamps a frame when it
-    sends it, so a copy arriving after its key was dropped is more than
-    ``span`` ms old and fails the timestamp check before this one. (Only
-    the signer can stamp a frame in the future, and a signer can as well
-    sign a fresh frame.)"""
+    sends it, so a copy arriving after its (sender, nonce) key was dropped
+    is more than ``span`` ms old and fails the timestamp check before this
+    one. (Only the signer can stamp a frame in the future, and a signer can
+    as well sign a fresh frame.) An alarm flood's copies are restamped at
+    each hop, but each node relays a flood once, so they die out within
+    a few hop latencies."""
 
     def __init__(self, span: int):
         self.span = span
         self.rotated_ms = 0
-        self.current: set[tuple[int, int]] = set()
-        self.previous: set[tuple[int, int]] = set()
+        self.current: set[tuple] = set()
+        self.previous: set[tuple] = set()
 
-    def __contains__(self, key: tuple[int, int]) -> bool:
+    def __contains__(self, key: tuple) -> bool:
         return key in self.current or key in self.previous
 
     def __len__(self) -> int:
         return len(self.current) + len(self.previous)
 
-    def add(self, key: tuple[int, int]) -> None:
+    def add(self, key: tuple) -> None:
         self.current.add(key)
 
     def rotate(self, now: int) -> None:
@@ -198,7 +207,7 @@ class Node:
 
         self.table: dict[int, TableEntry] = {}
         self.isolated: set[int] = set()
-        self.monitor = defaultdict(partial(MonitorWindow, params.monitor_window_ms))
+        self.monitor = defaultdict(partial(MonitorWindow, ms(params.monitor_window_s)))
         self.last_contact_ms: dict[int, int] = {}
 
         self.challenges: dict[int, AccuserChallenge] = {}
@@ -213,8 +222,9 @@ class Node:
         self.pending_alarms: dict[int, int] = {}
         self.alarmed: set[int] = set()  # subjects this node raised an alarm on
         self.last_alarm_seen_ms: dict[int, int] = {}
-        self.flood_seen: set[tuple] = set()
-        self.seen_nonces = ReplayFilter(params.replay_window_ms)
+        window = params.replay_window_ms
+        self.flood_seen = ReplayFilter(window)
+        self.seen_nonces = ReplayFilter(window)
 
         # the hook the simulator wires up
         self.on_event = None  # fn(now_ms, kind, subject, detail)
@@ -271,14 +281,14 @@ class Node:
         if subject in self.challenges:
             return []
         last = self.last_challenge_ms.get(subject)
-        if last is not None and now - last < self.params.challenge_cooldown_ms:
+        if last is not None and now - last < ms(self.params.challenge_cooldown_s):
             return []
         nonce = self._nonce()
         self.challenges[subject] = AccuserChallenge(
             subject=subject, nonce=nonce,
-            ack_deadline_ms=now + self.params.challenge_ack_deadline_ms,
-            close_at_ms=now + self.params.challenge_ack_deadline_ms
-            + self.params.collect_window_ms + 5_000)
+            ack_deadline_ms=now + ms(self.params.challenge_ack_deadline_s),
+            close_at_ms=now + ms(self.params.challenge_ack_deadline_s)
+            + ms(self.params.collect_window_s) + 5_000)
         self.last_challenge_ms[subject] = now
         self._log(now, "challenge", subject, "")
         return [self._send(subject, RepMessType.CHALLENGE, subject, 0,
@@ -325,7 +335,7 @@ class Node:
             return out
         nonce = self._nonce()
         self.collect = CollectState(
-            nonce=nonce, deadline_ms=now + self.params.collect_window_ms,
+            nonce=nonce, deadline_ms=now + ms(self.params.collect_window_s),
             expected=expected)
         self._log(now, "verify_behavior", self.node_id, f"fanout={len(expected)}")
         out.append(self._send(None, RepMessType.VERIFY_BEHAVIOR, self.node_id, 0,
@@ -524,7 +534,7 @@ class Node:
         if subject in self.isolated or subject in self.alarmed:
             return False
         last_seen = self.last_alarm_seen_ms.get(subject)
-        return last_seen is None or now - last_seen >= self.params.alarm_cooldown_ms
+        return last_seen is None or now - last_seen >= ms(self.params.alarm_cooldown_s)
 
     def schedule_alarm(self, subject: int, now: int) -> None:
         """Queue an alarm with a short random holdoff.
@@ -545,7 +555,7 @@ class Node:
         self.alarmed.add(subject)
         nonce = self._nonce()
         state = AlarmState(subject=subject, nonce=nonce,
-                           deadline_ms=now + self.params.vote_window_ms)
+                           deadline_ms=now + ms(self.params.vote_window_s))
         own_tag = messages.tag(
             vote_sign_bytes(subject, self.node_id, self.node_id, nonce, True),
             self.secret)
@@ -599,7 +609,7 @@ class Node:
         opinion (a table entry, or monitor samples when no entry exists).
         """
         last = self.last_contact_ms.get(subject)
-        if last is None or now - last > self.params.interaction_window_ms:
+        if last is None or now - last > ms(self.params.interaction_window_s):
             return None
         entry = self.table.get(subject)
         m, denom = self._window_maliciousness(subject, now)
@@ -694,6 +704,7 @@ class Node:
 
     def tick(self, now: int) -> list[Outgoing]:
         self.seen_nonces.rotate(now)
+        self.flood_seen.rotate(now)
         out: list[Outgoing] = []
         # most ticks find every dict empty: skip copying their keys
         if self.challenges:

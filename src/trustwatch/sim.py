@@ -36,6 +36,7 @@ from .node_protocol import (
     Node,
     Outgoing,
     ProtocolParams,
+    ms,
 )
 
 
@@ -46,7 +47,10 @@ class ConfigInvalid(ValueError):
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(ProtocolParams):
+    """A scenario: the protocol constants, and the world, traffic,
+    adversary and harness settings."""
+
     duration_s: float = 1000.0
     area_width_m: float = 100.0
     area_height_m: float = 100.0
@@ -59,28 +63,7 @@ class ScenarioConfig:
     flow_rate_pps: float = 2.0
     buffer_capacity: int = 64
     malicious_count: int = 5
-    exchange_interval_s: float = 60.0
-    f_fraction: float = 0.5
-
-    alpha: float = 0.6
-    alpha2: float = 0.8
-    delta: float = 0.001
-    maliciousness_threshold: float = 0.5
-
     monitor_sample_prob: float = 1.0
-    monitor_window_s: float = 30.0
-    monitor_threshold: float = 0.25
-    min_samples: int = 10
-
-    challenge_ack_deadline_s: float = 2.0
-    collect_window_s: float = 3.0
-    vote_window_s: float = 5.0
-    interaction_window_s: float = 120.0
-    alarm_cooldown_s: float = 30.0
-    challenge_cooldown_s: float = 60.0
-    min_voters: int = 3
-    cache_capacity: int = 256
-    piggyback_budget: int = 2
 
     topology_step_ms: int = 100
     service_slot_ms: int = 10
@@ -104,10 +87,8 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 problems.append(f"{f.name} must be finite")
         for name in ("duration_s", "area_width_m", "area_height_m",
-                     "tx_range_m", "flow_rate_pps", "exchange_interval_s"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive")
-        for name in ("node_count", "buffer_capacity", "topology_step_ms",
+                     "tx_range_m", "flow_rate_pps", "exchange_interval_s",
+                     "node_count", "buffer_capacity", "topology_step_ms",
                      "service_slot_ms", "hop_latency_ms", "tick_interval_ms",
                      "min_voters", "cache_capacity"):
             if getattr(self, name) <= 0:
@@ -133,7 +114,7 @@ class ScenarioConfig:
                      "challenge_cooldown_s", "challenge_ack_deadline_s"):
             if getattr(self, name) < 0:
                 problems.append(f"{name} must be >= 0")
-        if 0 < self.exchange_interval_s and int(self.exchange_interval_s * 1000) == 0:
+        if 0 < self.exchange_interval_s and ms(self.exchange_interval_s) == 0:
             # the period is truncated to whole ms, and a 0 ms period would
             # repeat the exchange at one instant forever
             problems.append("exchange_interval_s must be at least 0.001 (1 ms)")
@@ -142,26 +123,6 @@ class ScenarioConfig:
                             "a flow needs two distinct endpoints")
         if problems:
             raise ConfigInvalid(problems)
-
-    def protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(
-            alpha=self.alpha, alpha2=self.alpha2, delta=self.delta,
-            maliciousness_threshold=self.maliciousness_threshold,
-            f_fraction=self.f_fraction,
-            monitor_window_ms=int(self.monitor_window_s * 1000),
-            monitor_threshold=self.monitor_threshold,
-            min_samples=self.min_samples,
-            challenge_ack_deadline_ms=int(self.challenge_ack_deadline_s * 1000),
-            collect_window_ms=int(self.collect_window_s * 1000),
-            vote_window_ms=int(self.vote_window_s * 1000),
-            interaction_window_ms=int(self.interaction_window_s * 1000),
-            exchange_interval_ms=int(self.exchange_interval_s * 1000),
-            alarm_cooldown_ms=int(self.alarm_cooldown_s * 1000),
-            challenge_cooldown_ms=int(self.challenge_cooldown_s * 1000),
-            min_voters=self.min_voters,
-            cache_capacity=self.cache_capacity,
-            piggyback_budget=self.piggyback_budget,
-        )
 
 
 def multi_hop_default() -> ScenarioConfig:
@@ -195,12 +156,10 @@ class AdversaryNode(Node):
     the scenario's ``adv_*`` fields. Data plane misbehavior (packet
     drops/tampering) lives in the simulator's forwarding path."""
 
-    def __init__(self, *args, config: ScenarioConfig, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.cfg = config
+    params: ScenarioConfig
 
     def _select_responses(self, responses: list[CertResponse]) -> list[CertResponse]:
-        if not self.cfg.adv_drops_feedback:
+        if not self.params.adv_drops_feedback:
             return responses
         # compared as group_trust splits them: a favourable response stays
         threshold = self.params.maliciousness_threshold
@@ -208,11 +167,11 @@ class AdversaryNode(Node):
                 if messages.from_fixed(r.maliciousness_raw) < threshold]
 
     def shares_cache(self) -> bool:
-        return not self.cfg.adv_drops_certificates
+        return not self.params.adv_drops_certificates
 
     def outgoing_cache_bytes(self, key: tuple) -> bytes | None:
         data = self.cache.get(key)
-        if data is None or not self.cfg.adv_tampers_certificates:
+        if data is None or not self.params.adv_tampers_certificates:
             return data
         # flip a bit in the body so the issuer tag no longer verifies
         mutated = bytearray(data)
@@ -250,11 +209,10 @@ class SimResult:
     ever_neighbors: dict
     isolated_final: dict
     flow_counters: dict
-    node_count: int
 
     @property
     def honest(self) -> set[int]:
-        return set(range(1, self.node_count + 1)) - self.malicious
+        return set(range(1, self.config.node_count + 1)) - self.malicious
 
     def render_log(self) -> str:
         lines = [
@@ -327,7 +285,7 @@ class Simulator:
         self.cfg = config
         self.rng = random.Random(config.rng_seed)
         self.now = 0
-        self.duration_ms = int(config.duration_s * 1000)
+        self.duration_ms = ms(config.duration_s)
         self._queue: list = []
         self._seq = 0
 
@@ -338,7 +296,6 @@ class Simulator:
         # digest stays the same.
         self.rng.randbytes(32)
         self.authority = messages.Authority()
-        params = config.protocol_params()
 
         if malicious is None:
             malicious = self.rng.sample(self.ids, config.malicious_count)
@@ -348,12 +305,8 @@ class Simulator:
         for nid in self.ids:
             secret = self.rng.randbytes(32)
             self.authority.enroll(nid, secret)
-            if nid in self.malicious:
-                node = AdversaryNode(nid, secret, self.authority, params,
-                                     seed=config.rng_seed, config=config)
-            else:
-                node = Node(nid, secret, self.authority, params,
-                            seed=config.rng_seed)
+            cls = AdversaryNode if nid in self.malicious else Node
+            node = cls(nid, secret, self.authority, config, seed=config.rng_seed)
             node.on_event = self._make_event_hook(nid)
             self.nodes[nid] = node
 
@@ -401,7 +354,7 @@ class Simulator:
         # initial schedule
         self._push(config.topology_step_ms, EV_TOPO)
         self._push(config.tick_interval_ms, EV_TICK)
-        self._push(int(config.exchange_interval_s * 1000), EV_EXCHANGE)
+        self._push(ms(config.exchange_interval_s), EV_EXCHANGE)
         period = max(1, int(1000 / config.flow_rate_pps))
         for fid in self.flows:
             start = self.rng.randrange(period)
@@ -714,7 +667,7 @@ class Simulator:
         within = self._pair_within
         for i, j in zip(self._pair_i[within].tolist(), self._pair_j[within].tolist()):
             self._exchange_pair(i + 1, j + 1)
-        self._repeat(int(self.cfg.exchange_interval_s * 1000), EV_EXCHANGE)
+        self._repeat(ms(self.cfg.exchange_interval_s), EV_EXCHANGE)
 
     def _exchange_pair(self, a: int, b: int) -> None:
         na, nb = self.nodes[a], self.nodes[b]
@@ -818,7 +771,6 @@ class Simulator:
             ever_neighbors={k: set(v) for k, v in self.ever_neighbors.items()},
             isolated_final={nid: set(self.nodes[nid].isolated) for nid in self.ids},
             flow_counters={fid: dict(c) for fid, c in self.flow_counters.items()},
-            node_count=self.cfg.node_count,
         )
 
 

@@ -36,6 +36,8 @@ from test_node_protocol import (
     coverage,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = list(range(1, 21))
 
 

@@ -108,6 +108,15 @@ def test_replay_runs_loc_baseline(tmp_path, scenario_file, capsys):
     assert "LOC alarms:" in capsys.readouterr().out
 
 
+def test_replay_rejects_an_unknown_baseline_before_reading_the_log(
+        tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--log", str(tmp_path / "missing.txt"),
+              "--baseline", "lco"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lco'" in capsys.readouterr().err
+
+
 def _sweep(tmp_path, lines):
     spec = tmp_path / "sweep.txt"
     spec.write_text("variable = max_speed\n" + lines + "node_count = 10\n"

@@ -27,8 +27,7 @@ def shim_result(log, config=None, node_count=4, malicious=frozenset()):
     return SimResult(config=config or ScenarioConfig(node_count=node_count),
                      log=log, ledger={}, malicious=set(malicious),
                      cert_issued={}, cert_holders={}, ever_neighbors={},
-                     isolated_final={}, flow_counters={},
-                     node_count=node_count)
+                     isolated_final={}, flow_counters={})
 
 
 # --- scenario files -------------------------------------------------------
@@ -45,6 +44,11 @@ def test_scenario_file_round_trip():
     assert cfg.max_speed_mps == 7.5
     assert cfg.adv_drops_certificates is True
     assert cfg.mobility_model == "static"
+
+
+def test_alarm_jitter_is_not_a_scenario_key():
+    with pytest.raises(ConfigInvalid, match="unknown key 'alarm_jitter_ms'"):
+        parse_scenario_file("alarm_jitter_ms = 1000\n")
 
 
 def test_scenario_file_preset_base():

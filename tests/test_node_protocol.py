@@ -56,8 +56,10 @@ class World:
 
     def __init__(self, n, adjacency=None, params=None, node_cls=None,
                  node_cls_for=None):
-        self.params = params or ProtocolParams(
-            min_samples=3, alarm_jitter_ms=1_000)
+        if params is None:
+            params = ProtocolParams(min_samples=3)
+            params.alarm_jitter_ms = 1_000
+        self.params = params
         self.authority = Authority()
         self.nodes = {}
         for nid in range(1, n + 1):
@@ -296,8 +298,8 @@ def test_stale_frame_outside_replay_window_ignored():
 
 
 def test_replay_just_before_a_rotation_still_rejected_after_it():
-    params = ProtocolParams(min_samples=3, alarm_jitter_ms=1_000,
-                            exchange_interval_ms=500)
+    params = ProtocolParams(min_samples=3, exchange_interval_s=0.5)
+    params.alarm_jitter_ms = 1_000
     window = params.replay_window_ms
     world = World(3, params=params)
     accused = world.nodes[3]

@@ -573,6 +573,26 @@ def test_certificate_record_is_who_accepted_each_key_when():
                for key in res.cert_issued)
 
 
+def test_every_protocol_constant_reaches_the_nodes():
+    """Every benchmark workload runs the default protocol constants. This
+    run sets each of the 18 off its default, and each one changes its log
+    or its ledger, so the pin fails if a constant stops reaching the
+    nodes or its unit changes."""
+    res = run_scenario(ScenarioConfig(
+        rng_seed=5, duration_s=300.0, tx_range_m=20.0, tick_interval_ms=50,
+        adv_drops_feedback=True, adv_false_accuser=True, drop_prob=0.5,
+        alpha=0.5, alpha2=0.7, delta=0.002, maliciousness_threshold=0.45,
+        f_fraction=0.7, monitor_window_s=20.0, monitor_threshold=0.3,
+        min_samples=8, challenge_ack_deadline_s=0.002, collect_window_s=0.006,
+        vote_window_s=4.0, interaction_window_s=90.0, exchange_interval_s=30.0,
+        alarm_cooldown_s=20.0, challenge_cooldown_s=45.0, min_voters=40,
+        cache_capacity=8, piggyback_budget=3))
+    assert hashlib.sha256(res.render_log().encode()).hexdigest() == \
+        "45ba50ed1330da6d07f87e9765de47e8dd89bd40a713b992894a63742aa7d4ec"
+    assert hashlib.sha256(repr(sorted(res.ledger.items())).encode()).hexdigest() \
+        == "85dd07c0ad17e9edc5ba2f19f6b27d94c713651db90e1f698afaf42e84375c09"
+
+
 def test_log_is_time_ordered():
     res = run_scenario(small_config(duration_s=120.0, malicious_count=1))
     times = [t for t, *_ in res.log]
@@ -594,26 +614,29 @@ def test_cert_bytes_with_out_of_range_response_are_invalid():
 
 
 def test_replay_state_stays_flat_when_duration_doubles():
-    """Three false accusers keep control frames flowing all run; the
-    summed seen_nonces, sampled after every tick, peaks no higher when
-    the run is twice as long."""
+    """Three false accusers keep control frames and alarm floods flowing
+    all run; the summed seen_nonces and the summed flood_seen, each
+    sampled after every tick, peak no higher when the run is twice as
+    long."""
+    names = ("seen_nonces", "flood_seen")
 
     class Sampled(Simulator):
-        peak = 0
-
         def _handle_tick(self):
             super()._handle_tick()
-            self.peak = max(self.peak, sum(len(n.seen_nonces)
-                                           for n in self.nodes.values()))
+            for name in names:
+                total = sum(len(getattr(n, name)) for n in self.nodes.values())
+                self.peak[name] = max(self.peak.get(name, 0), total)
 
     peaks = []
     for duration in (240.0, 480.0):
         sim = Sampled(small_config(
             duration_s=duration, malicious_count=3, adv_false_accuser=True,
             drop_prob=0.0, exchange_interval_s=5.0))
+        sim.peak = {}
         sim.run()
         peaks.append(sim.peak)
-    assert 0 < peaks[1] <= 1.2 * peaks[0], peaks
+    for name in names:
+        assert 0 < peaks[1][name] <= 1.2 * peaks[0][name], (name, peaks)
 
 
 # --- documentation --------------------------------------------------------

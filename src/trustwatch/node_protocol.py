@@ -75,6 +75,13 @@ class ProtocolParams:
     def replay_window_ms(self) -> int:
         return 2 * ms(self.exchange_interval_s)
 
+    @property
+    def flood_span_ms(self) -> int:
+        """How long a node keeps an alarm flood's key, which must outlast
+        the flood. ``ScenarioConfig`` bounds it by its network; the test
+        ether delivers a whole flood at one instant."""
+        return self.replay_window_ms
+
     def suspects(self, m: float, n: int) -> bool:
         """The watchdog rule, on a window's ``rate``: enough samples, and
         more than the threshold of them bad."""
@@ -115,9 +122,8 @@ class ReplayFilter:
     sends it, so a copy arriving after its (sender, nonce) key was dropped
     is more than ``span`` ms old and fails the timestamp check before this
     one. (Only the signer can stamp a frame in the future, and a signer can
-    as well sign a fresh frame.) An alarm flood's copies are restamped at
-    each hop, but each node relays a flood once, so they die out within
-    a few hop latencies."""
+    as well sign a fresh frame.) A relay restamps an alarm flood, so its
+    key is kept instead for ``ProtocolParams.flood_span_ms``."""
 
     def __init__(self, span: int):
         self.span = span
@@ -222,9 +228,8 @@ class Node:
         self.pending_alarms: dict[int, int] = {}
         self.alarmed: set[int] = set()  # subjects this node raised an alarm on
         self.last_alarm_seen_ms: dict[int, int] = {}
-        window = params.replay_window_ms
-        self.flood_seen = ReplayFilter(window)
-        self.seen_nonces = ReplayFilter(window)
+        self.flood_seen = ReplayFilter(params.flood_span_ms)
+        self.seen_nonces = ReplayFilter(params.replay_window_ms)
 
         # the hook the simulator wires up
         self.on_event = None  # fn(now_ms, kind, subject, detail)
@@ -305,7 +310,7 @@ class Node:
         if not tag_ok:
             self._log(now, "bad_tag", header.sender, "")
             return []
-        if now - header.timestamp_ms > self.params.replay_window_ms:
+        if now - header.timestamp_ms > self.seen_nonces.span:
             return []
         replay_key = (header.sender, header.nonce)
         if replay_key in self.seen_nonces:

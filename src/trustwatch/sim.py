@@ -80,6 +80,13 @@ class ScenarioConfig(ProtocolParams):
     overhead_window_s: float = 160.0
     rng_seed: int = 1
 
+    @property
+    def flood_span_ms(self) -> int:
+        # A node relays a flood only on its first copy, one broadcast hop
+        # after another relay, so a flood's last copy lands within
+        # node_count hops of its start; one hop more outlasts it.
+        return (self.node_count + 1) * self.hop_latency_ms
+
     def validate(self) -> None:
         problems = []
         for f in fields(self):

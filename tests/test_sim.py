@@ -639,6 +639,31 @@ def test_replay_state_stays_flat_when_duration_doubles():
         assert 0 < peaks[1][name] <= 1.2 * peaks[0][name], (name, peaks)
 
 
+def test_each_node_relays_each_flood_once():
+    """A relay restamps an alarm flood, so only flood_seen stops a copy
+    that comes back. Here the replay window (6 ms) is shorter than a
+    flood's round trip (two 5 ms hops) and every tick rotates the
+    filters, yet every node sends each flood once."""
+
+    class Counted(Simulator):
+        def _emit(self, src, outgoings):
+            for out in outgoings:
+                if out.mess_type is messages.RepMessType.GLOBAL_ALARM:
+                    _, payload, _ = self.authority.open_frame(out.data)
+                    self.sends.append((src, payload))
+            super()._emit(src, outgoings)
+
+    sim = Counted(ScenarioConfig(
+        node_count=16, area_width_m=80.0, area_height_m=80.0,
+        mobility_model="static", malicious_count=3, adv_false_accuser=True,
+        duration_s=12.0, rng_seed=3, exchange_interval_s=0.003,
+        tick_interval_ms=1))
+    sim.sends = []
+    sim.run()
+    assert sim.sends
+    assert len(set(sim.sends)) == len(sim.sends), Counter(sim.sends).most_common(3)
+
+
 # --- documentation --------------------------------------------------------
 
 def test_readme_multi_hop_preset_matches_code():

@@ -89,19 +89,19 @@ def cmd_replay(args) -> int:
     cfg = _load_scenario(args.scenario)
     records = []
     for lineno, line in enumerate(Path(args.log).read_text().splitlines(), 1):
-        parts = line.split(" ", 4)
-        if len(parts) < 4:
+        if not line.strip():
             continue
-        detail = parts[4] if len(parts) > 4 else ""
         try:
-            records.append((int(parts[0]), parts[1], int(parts[2]),
-                            int(parts[3]), detail))
-            if parts[1] == "monitor_obs":
+            t, kind, actor, subject, *rest = line.split(" ", 4)
+            detail = rest[0] if rest else ""
+            records.append((int(t), kind, int(actor), int(subject), detail))
+            if kind == "monitor_obs":
                 int(detail)  # the outcome the LOC baseline replays
         except ValueError:
-            raise ConfigInvalid([f"{args.log} line {lineno}: time, actor, "
-                                 f"subject and a monitor_obs outcome must be "
-                                 f"integers: {line!r}"])
+            raise ConfigInvalid([f"{args.log} line {lineno}: a line needs a "
+                                 f"time, kind, actor and subject, and time, "
+                                 f"actor, subject and a monitor_obs outcome "
+                                 f"must be integers: {line!r}"])
     shim = SimResult(config=cfg, log=records, ledger={}, malicious=set(),
                      cert_issued={}, cert_holders={}, ever_neighbors={},
                      isolated_final={}, flow_counters={})

@@ -21,6 +21,7 @@ all the protocol checks require. Cryptographic strength is a non-goal.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import hmac
@@ -231,7 +232,7 @@ def decode_rep_mess(data: bytes) -> tuple[ReputationHeader, bytes, bytes]:
 # --- group-trust certificates -------------------------------------------
 
 _CERT_HEAD = struct.Struct(">IIQQHH")
-_CERT_RESP = struct.Struct(">IHH")
+_CERT_RESP = struct.Struct(f">IHH{TAG_LEN}s")
 _RESP_SIGN = struct.Struct(">IIHHQ")
 
 
@@ -277,14 +278,12 @@ def response_sign_bytes(subject: int, respondent: int, maliciousness_raw: int,
 
 
 def certificate_body_bytes(cert: GroupTrustCertificate) -> bytes:
-    parts = [_CERT_HEAD.pack(cert.subject, cert.issuer, cert.issued_at_ms,
-                             cert.challenge_nonce, cert.group_trust_raw,
-                             len(cert.responses))]
-    for r in cert.responses:
-        parts.append(_CERT_RESP.pack(r.respondent, r.maliciousness_raw,
-                                     r.weight_raw))
-        parts.append(r.tag)
-    return b"".join(parts)
+    head = _CERT_HEAD.pack(cert.subject, cert.issuer, cert.issued_at_ms,
+                           cert.challenge_nonce, cert.group_trust_raw,
+                           len(cert.responses))
+    return head + b"".join(
+        _CERT_RESP.pack(r.respondent, r.maliciousness_raw, r.weight_raw, r.tag)
+        for r in cert.responses)
 
 
 def encode_certificate(cert: GroupTrustCertificate) -> bytes:
@@ -292,34 +291,28 @@ def encode_certificate(cert: GroupTrustCertificate) -> bytes:
 
 
 def decode_certificate(data: bytes) -> GroupTrustCertificate:
-    head_len = _CERT_HEAD.size
-    if len(data) < head_len + TAG_LEN:
+    if len(data) < _CERT_HEAD.size + TAG_LEN:
         raise Truncated(f"certificate of {len(data)} bytes is too short")
-    subject, issuer, issued_at, nonce, gt_raw, count = _CERT_HEAD.unpack_from(data, 0)
-    resp_len = _CERT_RESP.size + TAG_LEN
-    expected = head_len + count * resp_len + TAG_LEN
+    subject, issuer, issued_at, nonce, gt_raw, count = _CERT_HEAD.unpack_from(data)
+    expected = _CERT_HEAD.size + count * _CERT_RESP.size + TAG_LEN
     if len(data) != expected:
         raise LengthMismatch(
             f"certificate with {count} responses should be {expected} bytes, "
             f"got {len(data)}")
     if gt_raw > FIXED_POINT_SCALE:
         raise RepValOverflow(f"group trust raw {gt_raw} > {FIXED_POINT_SCALE}")
-    responses = []
-    off = head_len
-    for _ in range(count):
-        respondent, m_raw, w_raw = _CERT_RESP.unpack_from(data, off)
-        if m_raw > FIXED_POINT_SCALE or w_raw > FIXED_POINT_SCALE:
+    responses = tuple(CertResponse(*fields) for fields in
+                      _CERT_RESP.iter_unpack(data[_CERT_HEAD.size:-TAG_LEN]))
+    for r in responses:
+        if max(r.maliciousness_raw, r.weight_raw) > FIXED_POINT_SCALE:
             raise RepValOverflow(
-                f"response of {respondent}: maliciousness raw {m_raw}, "
-                f"weight raw {w_raw}, limit {FIXED_POINT_SCALE}")
-        off += _CERT_RESP.size
-        rtag = data[off:off + TAG_LEN]
-        off += TAG_LEN
-        responses.append(CertResponse(respondent, m_raw, w_raw, rtag))
+                f"response of {r.respondent}: maliciousness raw "
+                f"{r.maliciousness_raw}, weight raw {r.weight_raw}, "
+                f"limit {FIXED_POINT_SCALE}")
     return GroupTrustCertificate(
         subject=subject, issuer=issuer, issued_at_ms=issued_at,
         challenge_nonce=nonce, group_trust_raw=gt_raw,
-        responses=tuple(responses), certificate_tag=data[off:off + TAG_LEN],
+        responses=responses, certificate_tag=data[-TAG_LEN:],
     )
 
 
@@ -355,21 +348,23 @@ def build_certificate(subject: int, issuer: int, issued_at_ms: int,
         challenge_nonce=challenge_nonce, group_trust_raw=gt_raw,
         responses=ordered, certificate_tag=b"",
     )
-    cert_tag = tag(certificate_body_bytes(unsigned), issuer_secret)
-    return GroupTrustCertificate(
-        subject=subject, issuer=issuer, issued_at_ms=issued_at_ms,
-        challenge_nonce=challenge_nonce, group_trust_raw=gt_raw,
-        responses=ordered, certificate_tag=cert_tag,
-    )
+    return dataclasses.replace(unsigned, certificate_tag=tag(
+        certificate_body_bytes(unsigned), issuer_secret))
 
 
 def verify_group_certificate(cert: GroupTrustCertificate, threshold: float,
                              authority: Authority) -> Verdict:
     """Check a certificate end to end; return the first failing check.
 
-    Omitted feedback (``DROPPED_FEEDBACK``) is not checked here: only a
-    respondent knows its response is missing, so the node decides it.
+    Respondents must be distinct, in the ascending order
+    ``build_certificate`` gives them, and not the subject; a copy of a
+    response would count its vote twice. Omitted feedback
+    (``DROPPED_FEEDBACK``) is not checked here: only a respondent knows
+    its response is missing, so the node decides it.
     """
+    ids = cert.respondent_ids()
+    if cert.subject in ids or any(a >= b for a, b in zip(ids, ids[1:])):
+        return Verdict.TAMPERED_RESPONSE
     for r in cert.responses:
         signed = response_sign_bytes(cert.subject, r.respondent,
                                      r.maliciousness_raw, r.weight_raw,

@@ -32,10 +32,14 @@ OUTCOME_OK = 0
 OUTCOME_DROP = 1
 OUTCOME_MODIFIED = 2
 
+# payload layouts; a layout that carries a tag ends with it
+_NONCE = struct.Struct(">Q")  # challenge, challenge ack, verify behavior
+_RESP_PAYLOAD = struct.Struct(f">HQ{messages.TAG_LEN}s")  # weight, nonce, tag
+_ALARM_PAYLOAD = struct.Struct(">BIQ")  # kind, raiser, alarm nonce
+_VOTE_RECORD = struct.Struct(f">IB{messages.TAG_LEN}s")  # voter, vote, tag
+_VOTE_PAYLOAD = struct.Struct(_ALARM_PAYLOAD.format + _VOTE_RECORD.format[1:])
+_VERDICT_HEAD = struct.Struct(_ALARM_PAYLOAD.format + "H")  # count records follow
 _VOTE_SIGN = struct.Struct(">IIIQB")
-_ALARM_PAYLOAD = struct.Struct(">BIQ")
-_VOTE_RECORD = struct.Struct(">IB")
-_RESP_PAYLOAD = struct.Struct(">HQ")
 
 
 def ms(seconds: float) -> int:
@@ -86,6 +90,11 @@ class ProtocolParams:
         """The watchdog rule, on a window's ``rate``: enough samples, and
         more than the threshold of them bad."""
         return n >= self.min_samples and m > self.monitor_threshold
+
+    def quorum(self, yes: int, total: int) -> bool:
+        """The isolation rule, on an alarm's valid votes: enough voters,
+        and more than half of them yes."""
+        return total >= self.min_voters and 2 * yes > total
 
 
 class MonitorWindow:
@@ -297,7 +306,7 @@ class Node:
         self.last_challenge_ms[subject] = now
         self._log(now, "challenge", subject, "")
         return [self._send(subject, RepMessType.CHALLENGE, subject, 0,
-                           struct.pack(">Q", nonce), now)]
+                           _NONCE.pack(nonce), now)]
 
     # --- receive dispatch -------------------------------------------------
 
@@ -327,11 +336,10 @@ class Node:
 
     def _on_challenge(self, header: ReputationHeader, payload: bytes,
                       now: int) -> list[Outgoing]:
-        if header.subject != self.node_id or len(payload) != 8:
+        if header.subject != self.node_id or len(payload) != _NONCE.size:
             return []
-        (challenge_nonce,) = struct.unpack(">Q", payload)
         out = [self._send(header.sender, RepMessType.CHALLENGE_ACK, self.node_id,
-                          0, struct.pack(">Q", challenge_nonce), now)]
+                          0, payload, now)]
         # one collection round at a time; concurrent accusers share it
         if self.collect is not None:
             return out
@@ -344,16 +352,13 @@ class Node:
             expected=expected)
         self._log(now, "verify_behavior", self.node_id, f"fanout={len(expected)}")
         out.append(self._send(None, RepMessType.VERIFY_BEHAVIOR, self.node_id, 0,
-                              struct.pack(">Q", nonce), now))
+                              _NONCE.pack(nonce), now))
         return out
 
     def _on_challenge_ack(self, header: ReputationHeader, payload: bytes,
                           now: int) -> list[Outgoing]:
         state = self.challenges.get(header.sender)
-        if state is None or len(payload) != 8:
-            return []
-        (challenge_nonce,) = struct.unpack(">Q", payload)
-        if challenge_nonce == state.nonce:
+        if state is not None and payload == _NONCE.pack(state.nonce):
             state.acked = True
         return []
 
@@ -362,9 +367,9 @@ class Node:
     def _on_verify_behavior(self, header: ReputationHeader, payload: bytes,
                             now: int) -> list[Outgoing]:
         accused = header.sender
-        if accused not in self.neighbors or len(payload) != 8:
+        if accused not in self.neighbors or len(payload) != _NONCE.size:
             return []
-        (collect_nonce,) = struct.unpack(">Q", payload)
+        (collect_nonce,) = _NONCE.unpack(payload)
         m, denom = self._window_maliciousness(accused, now)
         if denom == 0:
             m_raw, w_raw = 0, 0
@@ -375,19 +380,17 @@ class Node:
                                          collect_nonce),
             self.secret)
         self.responded.add((accused, collect_nonce))
-        resp_payload = _RESP_PAYLOAD.pack(w_raw, collect_nonce) + rtag
         return [self._send(accused, RepMessType.REP_RESPONSE, accused, m_raw,
-                           resp_payload, now)]
+                           _RESP_PAYLOAD.pack(w_raw, collect_nonce, rtag), now)]
 
     def _on_rep_response(self, header: ReputationHeader, payload: bytes,
                          now: int) -> list[Outgoing]:
-        if header.subject != self.node_id or len(payload) != _RESP_PAYLOAD.size + messages.TAG_LEN:
+        if header.subject != self.node_id or len(payload) != _RESP_PAYLOAD.size:
             return []
-        w_raw, collect_nonce = _RESP_PAYLOAD.unpack_from(payload, 0)
+        w_raw, collect_nonce, rtag = _RESP_PAYLOAD.unpack(payload)
         if w_raw > messages.FIXED_POINT_SCALE:
             self._log(now, "response_rejected", header.sender, f"w={w_raw}")
             return []
-        rtag = payload[_RESP_PAYLOAD.size:]
         # a response to a closed round finds no open round with its nonce
         state = self.collect
         if state is None or state.nonce != collect_nonce:
@@ -567,45 +570,48 @@ class Node:
         state.votes[self.node_id] = (True, own_tag)
         self.alarms[subject] = state
         self.last_alarm_seen_ms[subject] = now
-        self.flood_seen.add((subject, self.node_id, nonce))
         self._log(now, "alarm_raised", subject, "")
-        payload = _ALARM_PAYLOAD.pack(0, self.node_id, nonce)
+        return self._start_flood(0, subject, nonce,
+                                 _ALARM_PAYLOAD.pack(0, self.node_id, nonce), now)
+
+    def _start_flood(self, kind: int, subject: int, nonce: int, payload: bytes,
+                     now: int) -> list[Outgoing]:
+        """Broadcast this node's own flood, keyed first so that it relays no copy."""
+        self.flood_seen.add((kind, subject, self.node_id, nonce))
         return [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0, payload, now)]
 
     def _on_global_alarm(self, header: ReputationHeader, payload: bytes,
                          now: int) -> list[Outgoing]:
         if len(payload) < _ALARM_PAYLOAD.size:
             return []
-        kind, raiser, alarm_nonce = _ALARM_PAYLOAD.unpack_from(payload, 0)
+        kind, raiser, alarm_nonce = _ALARM_PAYLOAD.unpack_from(payload)
         subject = header.subject
-        if kind == 0:
-            flood_key = (subject, raiser, alarm_nonce)
-            if flood_key in self.flood_seen:
-                return []
-            self.flood_seen.add(flood_key)
-            self.last_alarm_seen_ms[subject] = now
-            # someone else beat this node's own pending raise to it
-            self.pending_alarms.pop(subject, None)
-            # re-broadcast once, then vote if this node has an opinion
-            out = [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0,
-                              payload, now)]
-            if subject == self.node_id or raiser == self.node_id:
-                return out
-            vote = self._alarm_vote(subject, now)
-            if vote is None:
-                return out
-            vtag = messages.tag(
-                vote_sign_bytes(subject, raiser, self.node_id, alarm_nonce, vote),
-                self.secret)
-            vote_payload = _ALARM_PAYLOAD.pack(0, raiser, alarm_nonce) + \
-                _VOTE_RECORD.pack(self.node_id, 1 if vote else 0) + vtag
-            self._log(now, "vote", subject, f"v={int(vote)} to={raiser}")
-            out.append(self._send(raiser, RepMessType.ALARM_VOTE, subject,
-                                  to_fixed(1.0) if vote else 0, vote_payload, now))
-            return out
+        # an alarm (kind 0) and its verdict (kind 1) are keyed alike; no other kind is
+        flood_key = (kind, subject, raiser, alarm_nonce)
+        if kind > 1 or flood_key in self.flood_seen:
+            return []
+        self.flood_seen.add(flood_key)
         if kind == 1:
             return self._on_verdict(subject, raiser, alarm_nonce, payload, now)
-        return []
+        self.last_alarm_seen_ms[subject] = now
+        # someone else beat this node's own pending raise to it
+        self.pending_alarms.pop(subject, None)
+        # re-broadcast once, then vote if this node has an opinion
+        out = [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0, payload, now)]
+        if subject == self.node_id or raiser == self.node_id:
+            return out
+        vote = self._alarm_vote(subject, now)
+        if vote is None:
+            return out
+        vtag = messages.tag(
+            vote_sign_bytes(subject, raiser, self.node_id, alarm_nonce, vote),
+            self.secret)
+        vote_payload = _VOTE_PAYLOAD.pack(0, raiser, alarm_nonce, self.node_id,
+                                          vote, vtag)
+        self._log(now, "vote", subject, f"v={int(vote)} to={raiser}")
+        out.append(self._send(raiser, RepMessType.ALARM_VOTE, subject,
+                              to_fixed(1.0) if vote else 0, vote_payload, now))
+        return out
 
     def _alarm_vote(self, subject: int, now: int) -> bool | None:
         """Vote on an alarm, or None when not an eligible voter.
@@ -628,24 +634,27 @@ class Node:
             return None
         return False
 
+    def _signed_vote(self, subject: int, raiser: int, alarm_nonce: int,
+                     voter: int, vote_byte: int, vtag: bytes) -> bool | None:
+        """A record's vote (byte 1: yes, else no); None unless the voter signed it."""
+        vote = vote_byte == 1
+        signed = vote_sign_bytes(subject, raiser, voter, alarm_nonce, vote)
+        return vote if self.authority.verify_node(voter, signed, vtag) else None
+
     def _on_alarm_vote(self, header: ReputationHeader, payload: bytes,
                        now: int) -> list[Outgoing]:
-        need = _ALARM_PAYLOAD.size + _VOTE_RECORD.size + messages.TAG_LEN
-        if len(payload) != need:
+        if len(payload) != _VOTE_PAYLOAD.size:
             return []
-        _, raiser, alarm_nonce = _ALARM_PAYLOAD.unpack_from(payload, 0)
-        voter, vote_byte = _VOTE_RECORD.unpack_from(payload, _ALARM_PAYLOAD.size)
-        vtag = payload[_ALARM_PAYLOAD.size + _VOTE_RECORD.size:]
+        _, raiser, alarm_nonce, voter, vote_byte, vtag = _VOTE_PAYLOAD.unpack(payload)
         if raiser != self.node_id or voter != header.sender:
             return []
         state = self.alarms.get(header.subject)
         if state is None or state.nonce != alarm_nonce or now > state.deadline_ms:
             return []
-        vote = vote_byte == 1
-        signed = vote_sign_bytes(header.subject, raiser, voter, alarm_nonce, vote)
-        if not self.authority.verify_node(voter, signed, vtag):
-            return []
-        state.votes.setdefault(voter, (vote, vtag))
+        vote = self._signed_vote(header.subject, raiser, alarm_nonce, voter,
+                                 vote_byte, vtag)
+        if vote is not None:
+            state.votes.setdefault(voter, (vote, vtag))
         return []
 
     def _tally_alarm(self, state: AlarmState, now: int) -> list[Outgoing]:
@@ -653,52 +662,33 @@ class Node:
         yes = sum(1 for v, _ in votes.values() if v)
         total = len(votes)
         self._log(now, "alarm_tally", state.subject, f"yes={yes} total={total}")
-        if total < self.params.min_voters or 2 * yes <= total:
+        if not self.params.quorum(yes, total):
             self._log(now, "alarm_expired", state.subject, "")
             return []
         self.isolated.add(state.subject)
         self._log(now, "isolated", state.subject, f"yes={yes} total={total}")
-        records = b"".join(
-            _VOTE_RECORD.pack(voter, 1 if v else 0) + vtag
-            for voter, (v, vtag) in sorted(votes.items()))
-        payload = _ALARM_PAYLOAD.pack(1, self.node_id, state.nonce) + \
-            struct.pack(">H", total) + records
-        self.flood_seen.add((state.subject, self.node_id, state.nonce, "v"))
-        return [self._send(None, RepMessType.GLOBAL_ALARM, state.subject, 0,
-                           payload, now)]
+        payload = _VERDICT_HEAD.pack(1, self.node_id, state.nonce, total) + \
+            b"".join(_VOTE_RECORD.pack(voter, v, vtag)
+                     for voter, (v, vtag) in sorted(votes.items()))
+        return self._start_flood(1, state.subject, state.nonce, payload, now)
 
     def _on_verdict(self, subject: int, raiser: int, alarm_nonce: int,
                     payload: bytes, now: int) -> list[Outgoing]:
-        flood_key = (subject, raiser, alarm_nonce, "v")
-        if flood_key in self.flood_seen:
+        if len(payload) < _VERDICT_HEAD.size:
             return []
-        self.flood_seen.add(flood_key)
-        off = _ALARM_PAYLOAD.size
-        if len(payload) < off + 2:
+        count = _VERDICT_HEAD.unpack_from(payload)[-1]
+        records = payload[_VERDICT_HEAD.size:]
+        if len(records) != count * _VOTE_RECORD.size:
             return []
-        (count,) = struct.unpack_from(">H", payload, off)
-        off += 2
-        rec_len = _VOTE_RECORD.size + messages.TAG_LEN
-        if len(payload) != off + count * rec_len:
-            return []
-        yes = total = 0
-        seen_voters = set()
-        for _ in range(count):
-            voter, vote_byte = _VOTE_RECORD.unpack_from(payload, off)
-            off += _VOTE_RECORD.size
-            vtag = payload[off:off + messages.TAG_LEN]
-            off += messages.TAG_LEN
-            if voter in seen_voters:
-                continue
-            vote = vote_byte == 1
-            signed = vote_sign_bytes(subject, raiser, voter, alarm_nonce, vote)
-            if not self.authority.verify_node(voter, signed, vtag):
-                continue
-            seen_voters.add(voter)
-            total += 1
-            yes += 1 if vote else 0
+        votes: dict[int, bool] = {}  # the first validly signed vote of each voter
+        for voter, vote_byte, vtag in _VOTE_RECORD.iter_unpack(records):
+            if voter not in votes:
+                vote = self._signed_vote(subject, raiser, alarm_nonce, voter,
+                                         vote_byte, vtag)
+                if vote is not None:
+                    votes[voter] = vote
         out = [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0, payload, now)]
-        if total >= self.params.min_voters and 2 * yes > total and \
+        if self.params.quorum(sum(votes.values()), len(votes)) and \
                 subject != self.node_id:
             self.isolated.add(subject)
             self.pending_alarms.pop(subject, None)

@@ -145,6 +145,7 @@ def _run(tmp_path, lines):
     (_sweep, "values = 5\nrepetitions = two\n", None),
     (_replay, "1x0 monitor_obs 1 2 1\n", None),
     (_replay, "100 monitor_obs 1 2 x\n", None),
+    (_replay, "100 monitor_obs 1\n", None),
     (_seeded_run, "", "abc"),
     (_run, "exchange_interval_s = 0.0004\n", None),
     (_run, "node_count = 1\nflow_count = 1\n", None),
@@ -153,6 +154,7 @@ def _run(tmp_path, lines):
     (_sweep, "values = 5, nan\nrepetitions = 1\n", None),
     (_run, "min_samples = -3\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
+        "replay-truncated",
         "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
         "run-infinite-duration", "run-negative-window", "sweep-nan-value",
         "run-negative-min-samples"])

@@ -58,10 +58,11 @@ def test_every_traced_function_exists_and_wrappers_see_the_run(monkeypatch):
     # the tracer wraps after the simulator is built: event dispatch, the
     # broadcast fan-out, message dispatch and the certificate memo's misses
     # must all reach a class- or module-level wrapper installed then
-    simulator = Simulator(ScenarioConfig(
+    cfg = ScenarioConfig(
         node_count=8, area_width_m=40.0, area_height_m=40.0, flow_count=2,
         malicious_count=1, adv_false_accuser=True, duration_s=40.0,
-        rng_seed=1))
+        rng_seed=1)
+    simulator = Simulator(cfg)
     wrapped = ((Simulator, "_handle_tick"), (Node, "receive"),
                (Node, "_on_global_alarm"), (messages, "verify_group_certificate"))
     calls = Counter()
@@ -70,5 +71,14 @@ def test_every_traced_function_exists_and_wrappers_see_the_run(monkeypatch):
             calls[_attr] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, attr, wrapper)
-    simulator.run()
+    log = simulator.run().render_log()
     assert all(calls[attr] > 0 for _, attr in wrapped), calls
+    monkeypatch.undo()
+    # the tracer's own wrappers, installed as a traced benchmark run
+    # installs them, change nothing in the run and see what they count
+    simulator = Simulator(cfg)
+    with tracer.installed():
+        assert simulator.run().render_log() == log
+    counted = ("receive.flooded", "topology.changed", "cert.accepted")
+    assert all(tracer.counts[key] > 0 for key in counted), tracer.counts
+    assert tracer.span_stats()["node_protocol.receive.global_alarm"]["calls"] > 0

@@ -2,6 +2,8 @@
 challenge/collect/certificate flow, alarm voting, escalations, and the
 exchange-round delivery bound on static topologies."""
 
+import dataclasses
+import hashlib
 import struct
 
 import pytest
@@ -269,7 +271,8 @@ def test_duplicate_key_certificate_cached_only_if_valid():
     assert cert.key() in node.processed_certs and cert.key() not in node.cache
     # the same key with one bit of the first response tag flipped
     tampered = bytearray(data)
-    tampered[messages._CERT_HEAD.size + messages._CERT_RESP.size] ^= 0x01
+    tampered[messages._CERT_HEAD.size + messages._CERT_RESP.size
+             - messages.TAG_LEN] ^= 0x01
     tampered = bytes(tampered)
     assert messages.verify_group_certificate(
         messages.decode_certificate(tampered), THRESHOLD, world.authority) \
@@ -278,6 +281,63 @@ def test_duplicate_key_certificate_cached_only_if_valid():
     assert cert.key() not in node.cache
     node.handle_certificate(data, 3000, cache=True, from_node=5)
     assert node.cache[cert.key()] == data
+
+
+@pytest.mark.parametrize("reports,order", [
+    ({2: 0.0, 3: 1.0, 4: 1.0}, (2, 2, 2, 3, 4)),  # a favourable response thrice
+    ({2: 0.0, 3: 1.0, 5: 0.0}, (2, 3, 5)),  # the subject vouches for itself
+    ({2: 0.0, 3: 1.0, 4: 1.0}, (3, 2, 4)),  # out of ascending order
+], ids=["repeated", "subject", "unordered"])
+def test_certificate_respondents_must_ascend_and_exclude_the_subject(
+        reports, order):
+    """Every tag of these certificates verifies and each group trust
+    matches its responses, but only distinct respondents other than the
+    subject, in ascending order, make a certificate. Respondent 3, whose
+    adverse response is inside, rejects each one."""
+    world = World(5)
+    node = world.nodes[3]
+    events = record_events(node)
+    ids = sorted(order)
+    cert = make_cert(5, ids, [reports[r] for r in ids], nonce=10, at_ms=1000)
+    by_id = {r.respondent: r for r in cert.responses}
+    body = certificate_body_bytes(dataclasses.replace(
+        cert, responses=tuple(by_id[r] for r in order)))
+    data = body + tag(body, secret_for(5))
+    assert messages.verify_group_certificate(
+        messages.decode_certificate(data), THRESHOLD, world.authority) \
+        is messages.Verdict.TAMPERED_RESPONSE
+    assert node.handle_certificate(data, 1000, cache=True, from_node=5) == []
+    assert events == [("cert_rejected", 5, "tampered_response")]
+    assert 5 not in node.table
+
+
+def test_wire_bytes_of_each_sent_frame_type_are_pinned():
+    """The first frame of each type a full detection run sends (alarm and
+    verdict floods apart) and one certificate, hashed together. Every log
+    stays the same if both ends of a layout change alike; this does not."""
+    world = World(5)
+    first = {}
+    for node in world.nodes.values():
+        def receive(data, now, _receive=node.receive):
+            header, payload, _ = messages.decode_rep_mess(data)
+            flood_kind = payload[:1] \
+                if header.mess_type == RepMessType.GLOBAL_ALARM else b""
+            first.setdefault((header.mess_type, flood_kind), data)
+            return _receive(data, now)
+        node.receive = receive
+    for observer in (1, 2, 3, 4):
+        feed_drops(world, observer, 5, now=1000)
+    world.run_ticks(1500, 20_000)
+    assert sorted(first) == sorted(
+        [(t, b"") for t in RepMessType if t not in (
+            RepMessType.REP_REQUEST, RepMessType.CERT_EXCHANGE,
+            RepMessType.GLOBAL_ALARM)]
+        + [(RepMessType.GLOBAL_ALARM, b"\x00"), (RepMessType.GLOBAL_ALARM, b"\x01")])
+    cert = make_cert(5, (2, 3, 4), (0.9, 0.1, 0.6), nonce=10, at_ms=1000,
+                     ws=(1.0, 0.5, 0.0))
+    wire = b"".join(first[key] for key in sorted(first)) + encode_certificate(cert)
+    assert hashlib.sha256(wire).hexdigest() == \
+        "d0d21b8c1a26c85fe8b851265b24990e748f19cab31a1f6038be394a61e4dda4"
 
 
 def test_replay_of_identical_frame_ignored():
@@ -331,7 +391,7 @@ def response_frame(respondent, accused, collect_nonce, w_raw, now, nonce):
         mess_type=int(RepMessType.REP_RESPONSE), subject=accused, rep_val_raw=0,
         timestamp_ms=now, nonce=nonce, sender=respondent)
     return messages.encode_rep_mess(
-        header, _RESP_PAYLOAD.pack(w_raw, collect_nonce) + rtag,
+        header, _RESP_PAYLOAD.pack(w_raw, collect_nonce, rtag),
         secret_for(respondent))
 
 
@@ -470,8 +530,8 @@ def test_no_signed_frame_raises_out_of_a_handler(mtype, data):
     raiser, alarm_nonce = draw(node_id), draw(nonce)
     votes = draw(st.lists(st.tuples(st.just(sender) | node_id, st.booleans()),
                           min_size=1, max_size=4))
-    records = [_VOTE_RECORD.pack(voter, int(vote)) + maybe_signed(
-                   vote_sign_bytes(subject, raiser, voter, alarm_nonce, vote), voter)
+    records = [_VOTE_RECORD.pack(voter, int(vote), maybe_signed(
+                   vote_sign_bytes(subject, raiser, voter, alarm_nonce, vote), voter))
                for voter, vote in votes]
     kind = draw(st.sampled_from([0, 1, 2]))  # flood, verdict, unknown
     verdict = _ALARM_PAYLOAD.pack(kind, raiser, alarm_nonce) \
@@ -481,7 +541,7 @@ def test_no_signed_frame_raises_out_of_a_handler(mtype, data):
     # past the length checks into each handler's logic
     fitting = {
         RepMessType.REP_RESPONSE: _RESP_PAYLOAD.pack(
-            draw(raw), draw(st.just(nonces[0]) | nonce)) + draw(tag32),
+            draw(raw), draw(st.just(nonces[0]) | nonce), draw(tag32)),
         RepMessType.REP_BROADCAST: draw(st.sampled_from([b"\x00", b"\x01"])) + cert,
         RepMessType.CHALLENGE: struct.pack(">Q", draw(nonce)),
         RepMessType.CHALLENGE_ACK: struct.pack(">Q", draw(nonce)),
@@ -522,7 +582,7 @@ def test_forged_verdict_without_quorum_rejected():
     accuser = world.nodes[1]
     nonce = 42
     own = vote_sign_bytes(4, 1, 1, nonce, True)
-    record = _VOTE_RECORD.pack(1, 1) + tag(own, secret_for(1))
+    record = _VOTE_RECORD.pack(1, 1, tag(own, secret_for(1)))
     payload = _ALARM_PAYLOAD.pack(1, 1, nonce) + struct.pack(">H", 1) + record
     frame = accuser._send(None, RepMessType.GLOBAL_ALARM, 4, 0, payload, 1000).data
     world.nodes[2].receive(frame, 1001)
@@ -538,7 +598,7 @@ def test_forged_verdict_with_invalid_votes_rejected():
         signed = vote_sign_bytes(4, 1, voter, nonce, True)
         # only the accuser's own vote carries a genuine tag
         key = secret_for(1) if voter == 1 else b"forged" * 5 + b"xx"
-        records += _VOTE_RECORD.pack(voter, 1) + tag(signed, key)
+        records += _VOTE_RECORD.pack(voter, 1, tag(signed, key))
     payload = _ALARM_PAYLOAD.pack(1, 1, nonce) + struct.pack(">H", 4) + records
     frame = accuser._send(None, RepMessType.GLOBAL_ALARM, 4, 0, payload, 1000).data
     world.nodes[2].receive(frame, 1001)
@@ -551,7 +611,7 @@ def test_valid_verdict_accepted_by_third_party():
     records = b""
     for voter in (1, 2, 3):
         signed = vote_sign_bytes(4, 1, voter, nonce, True)
-        records += _VOTE_RECORD.pack(voter, 1) + tag(signed, secret_for(voter))
+        records += _VOTE_RECORD.pack(voter, 1, tag(signed, secret_for(voter)))
     payload = _ALARM_PAYLOAD.pack(1, 1, nonce) + struct.pack(">H", 3) + records
     frame = world.nodes[1]._send(None, RepMessType.GLOBAL_ALARM, 4, 0,
                                  payload, 1000).data
@@ -561,8 +621,9 @@ def test_valid_verdict_accepted_by_third_party():
 
 def verdict_payload(subject, raiser, nonce, voters, count=None):
     records = b"".join(
-        _VOTE_RECORD.pack(voter, 1)
-        + tag(vote_sign_bytes(subject, raiser, voter, nonce, True), secret_for(voter))
+        _VOTE_RECORD.pack(
+            voter, 1, tag(vote_sign_bytes(subject, raiser, voter, nonce, True),
+                          secret_for(voter)))
         for voter in voters)
     count = len(voters) if count is None else count
     return _ALARM_PAYLOAD.pack(1, raiser, nonce) + struct.pack(">H", count) + records
@@ -595,7 +656,7 @@ def test_malformed_verdict_is_not_rebroadcast():
         frame = world.nodes[1]._send(None, RepMessType.GLOBAL_ALARM, 4, 0,
                                      short, 1000).data
         assert world.nodes[nid].receive(frame, 1001) == []
-        assert (4, 1, nonce, "v") in world.nodes[nid].flood_seen
+        assert (1, 4, 1, nonce) in world.nodes[nid].flood_seen
         assert 4 not in world.nodes[nid].isolated
     # the flood key was recorded: a well-formed verdict with the same key
     # is a duplicate

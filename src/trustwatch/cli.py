@@ -94,9 +94,9 @@ def cmd_replay(args) -> int:
         try:
             t, kind, actor, subject, *rest = line.split(" ", 4)
             detail = rest[0] if rest else ""
-            records.append((int(t), kind, int(actor), int(subject), detail))
             if kind == "monitor_obs":
-                int(detail)  # the outcome the LOC baseline replays
+                detail = int(detail)  # the outcome the LOC baseline replays
+            records.append((int(t), kind, int(actor), int(subject), detail))
         except ValueError:
             raise ConfigInvalid([f"{args.log} line {lineno}: a line needs a "
                                  f"time, kind, actor and subject, and time, "

@@ -125,7 +125,7 @@ def loc_baseline(result: SimResult) -> list[tuple[int, int, int]]:
     for t, kind, actor, subject, detail in result.log:
         if kind != "monitor_obs":
             continue
-        if params.suspects(*windows[actor, subject].add(t, int(detail))):
+        if params.suspects(*windows[actor, subject].add(t, detail)):
             alarms.append((t, actor, subject))
     return alarms
 
@@ -226,6 +226,8 @@ class SweepSpec:
             problems.append("values must be non-empty")
         if not all(math.isfinite(v) for v in self.values):
             problems.append("values must be finite")
+        elif self.variable == "node_count" and any(v != int(v) for v in self.values):
+            problems.append("node_count values must be whole numbers")
         if self.repetitions < 1:
             problems.append("repetitions must be >= 1")
         if problems:

@@ -15,7 +15,6 @@ import struct
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 
 from . import messages, trust_math
 from .messages import (
@@ -239,15 +238,14 @@ class Node:
         self.last_alarm_seen_ms: dict[int, int] = {}
         self.flood_seen = ReplayFilter(params.flood_span_ms)
         self.seen_nonces = ReplayFilter(params.replay_window_ms)
-
-        # the hook the simulator wires up
-        self.on_event = None  # fn(now_ms, kind, subject, detail)
+        # (now, kind, node_id, subject, detail) records; a simulator
+        # replaces it with the run's one log
+        self.log: list[tuple] = []
 
     # --- plumbing ---------------------------------------------------------
 
     def _log(self, now: int, kind: str, subject: int, detail: str = "") -> None:
-        if self.on_event is not None:
-            self.on_event(now, kind, subject, detail)
+        self.log.append((now, kind, self.node_id, subject, detail))
 
     def _nonce(self) -> int:
         return self.rng.getrandbits(64)
@@ -741,21 +739,6 @@ class Node:
     def replenish_tick(self, now: int) -> None:
         for entry in self.table.values():
             entry.rep_val = trust_math.replenish(entry.rep_val, self.params.delta)
-
-    # --- certificate exchange (simulator-mediated) ------------------------
-
-    def cache_keys(self) -> list[tuple]:
-        return list(self.cache.keys())
-
-    def cache_replace(self, key: tuple, cert_bytes: bytes) -> None:
-        self.cache[key] = cert_bytes
-
-    def piggyback_keys(self) -> list[tuple]:
-        """The newest cache keys, at most ``piggyback_budget`` of them,
-        oldest first."""
-        keys = list(islice(reversed(self.cache), self.params.piggyback_budget))
-        keys.reverse()
-        return keys
 
     # --- adversary hooks (honest defaults) --------------------------------
 

@@ -239,16 +239,6 @@ class SimResult:
         return True
 
 
-# event kinds, ordered only for readability
-EV_TOPO = "topo"
-EV_FLOW = "flow"
-EV_ARRIVE = "arrive"
-EV_SERVICE = "service"
-EV_CTRL = "ctrl"
-EV_TICK = "tick"
-EV_EXCHANGE = "exchange"
-EV_ACCUSE = "accuse"
-
 _KEY_BYTES = 16  # accounting size of a certificate cache key on the wire
 
 
@@ -284,6 +274,23 @@ def _checked_positions(positions, config: ScenarioConfig) -> np.ndarray:
     return pos
 
 
+def _checked_malicious(malicious, config: ScenarioConfig) -> set[int]:
+    """An explicit malicious set of node ids that leaves an honest node.
+    Raises ``ConfigInvalid`` listing every problem: an id that is no node
+    would count as an adversary that never acts."""
+    chosen, ids = set(malicious), range(1, config.node_count + 1)
+    problems = []
+    strays = [x for x in chosen if type(x) is not int or x not in ids]
+    if strays:
+        problems.append(f"malicious ids {sorted(strays, key=repr)} are not "
+                        f"node ids 1..{config.node_count}")
+    if chosen.issuperset(ids):
+        problems.append("malicious must leave at least one honest node")
+    if problems:
+        raise ConfigInvalid(problems)
+    return chosen
+
+
 class Simulator:
     def __init__(self, config: ScenarioConfig,
                  positions: list[tuple[float, float]] | None = None,
@@ -306,15 +313,16 @@ class Simulator:
 
         if malicious is None:
             malicious = self.rng.sample(self.ids, config.malicious_count)
-        self.malicious = set(malicious)
+        self.malicious = _checked_malicious(malicious, config)
 
+        self.log: list[tuple] = []  # every node appends to it too
         self.nodes: dict[int, Node] = {}
         for nid in self.ids:
             secret = self.rng.randbytes(32)
             self.authority.enroll(nid, secret)
             cls = AdversaryNode if nid in self.malicious else Node
             node = cls(nid, secret, self.authority, config, seed=config.rng_seed)
-            node.on_event = self._make_event_hook(nid)
+            node.log = self.log
             self.nodes[nid] = node
 
         # mobility state (index i <-> node id i+1)
@@ -355,34 +363,25 @@ class Simulator:
         self.buffers: dict[int, deque] = {nid: deque() for nid in self.ids}
         self.free_at: dict[int, int] = {nid: 0 for nid in self.ids}
 
-        self.log: list[tuple] = []
         self.ledger: Counter = Counter()
 
         # initial schedule
-        self._push(config.topology_step_ms, EV_TOPO)
-        self._push(config.tick_interval_ms, EV_TICK)
-        self._push(ms(config.exchange_interval_s), EV_EXCHANGE)
+        self._push(config.topology_step_ms, "_handle_topology")
+        self._push(config.tick_interval_ms, "_handle_tick")
+        self._push(ms(config.exchange_interval_s), "_handle_exchange")
         period = max(1, int(1000 / config.flow_rate_pps))
         for fid in self.flows:
             start = self.rng.randrange(period)
-            self._push(start, EV_FLOW, fid)
+            self._push(start, "_handle_flow", fid)
         if config.adv_false_accuser:
             for nid in sorted(self.malicious):
-                self._push(30_000 + self.rng.randrange(5_000), EV_ACCUSE, nid)
-
-    # --- hooks and logging -----------------------------------------------
-
-    def _make_event_hook(self, nid: int):
-        def hook(now, kind, subject, detail):
-            self.log.append((now, kind, nid, subject, detail))
-        return hook
-
-    def _log(self, kind: str, actor: int, subject: int, detail: str = "") -> None:
-        self.log.append((self.now, kind, actor, subject, detail))
+                self._push(30_000 + self.rng.randrange(5_000), "_handle_accuse",
+                           nid)
 
     # --- event queue ------------------------------------------------------
 
     def _push(self, t: int, kind: str, *args) -> None:
+        """Queue a call of the handler method named ``kind`` at t ms."""
         self._seq += 1
         heapq.heappush(self._queue, (t, self._seq, kind, args))
 
@@ -432,7 +431,7 @@ class Simulator:
     def _handle_topology(self) -> None:
         if self._step_mobility(self.cfg.topology_step_ms / 1000.0):
             self._recompute_topology()
-        self._repeat(self.cfg.topology_step_ms, EV_TOPO)
+        self._repeat(self.cfg.topology_step_ms, "_handle_topology")
 
     def _recompute_topology(self, initial: bool = False) -> None:
         """Update the unit-disk graph from the current positions.
@@ -544,7 +543,7 @@ class Simulator:
             if out.dest is None:
                 recipients = tuple(self.neighbors_of(src))
                 if recipients:
-                    self._push(self.now + self.cfg.hop_latency_ms, EV_CTRL,
+                    self._push(self.now + self.cfg.hop_latency_ms, "_handle_ctrl",
                                recipients, out.data)
                     self.ledger[name] += len(recipients)
                     self.ledger["ctrl_bytes"] += len(out.data) * len(recipients)
@@ -555,7 +554,7 @@ class Simulator:
                 if hops is None:
                     self.ledger["ctrl_undeliverable"] += 1
                     continue
-                self._push(self.now + hops * self.cfg.hop_latency_ms, EV_CTRL,
+                self._push(self.now + hops * self.cfg.hop_latency_ms, "_handle_ctrl",
                            (out.dest,), out.data)
                 self.ledger[name] += 1
                 self.ledger["ctrl_bytes"] += len(out.data) * hops
@@ -575,7 +574,7 @@ class Simulator:
         return hops if hops >= 0 else None
 
     def _observe(self, watcher: int, subject: int, outcome: int) -> None:
-        self._log("monitor_obs", watcher, subject, str(outcome))
+        self.log.append((self.now, "monitor_obs", watcher, subject, outcome))
         out = self.nodes[watcher].monitor_observe(subject, outcome, self.now)
         if out:
             self._emit(watcher, out)
@@ -598,11 +597,12 @@ class Simulator:
                 flow_id=fid, src=flow.src, dst=flow.dst,
                 route=list(flow.route), hop_index=1, watched_by=watched)
             counters["sent"] += 1
-            self.ledger["pb_bytes"] += _KEY_BYTES * len(src_node.piggyback_keys())
+            self.ledger["pb_bytes"] += _KEY_BYTES * min(len(src_node.cache),
+                                                        self.cfg.piggyback_budget)
             src_node.note_contact(packet.route[1], self.now)
-            self._push(self.now + self.cfg.hop_latency_ms, EV_ARRIVE,
+            self._push(self.now + self.cfg.hop_latency_ms, "_handle_arrive",
                        packet.route[1], packet)
-        self._repeat(max(1, int(1000 / self.cfg.flow_rate_pps)), EV_FLOW, fid)
+        self._repeat(max(1, int(1000 / self.cfg.flow_rate_pps)), "_handle_flow", fid)
 
     def _drop_packet(self, packet: DataPacket, reason: str,
                      at: int, observed: bool) -> None:
@@ -634,17 +634,17 @@ class Simulator:
             self._drop_packet(packet, "buffer", nid, observed=True)
             return
         buffer.append(packet)
-        # a relay has one EV_SERVICE queued exactly while its buffer is
+        # a relay has one service event queued exactly while its buffer is
         # not empty: this append started the buffer, so nothing serves it yet
         if len(buffer) == 1:
-            self._push(max(self.now, self.free_at[nid]), EV_SERVICE, nid)
+            self._push(max(self.now, self.free_at[nid]), "_handle_service", nid)
 
     def _handle_service(self, nid: int) -> None:
         buffer = self.buffers[nid]
         packet = buffer.popleft()
         self.free_at[nid] = self.now + self.cfg.service_slot_ms
         if buffer:
-            self._push(self.free_at[nid], EV_SERVICE, nid)
+            self._push(self.free_at[nid], "_handle_service", nid)
 
         next_hop = packet.route[packet.hop_index + 1]
         if not self.adj[nid - 1, next_hop - 1]:
@@ -663,7 +663,7 @@ class Simulator:
             else None
         packet.hop_index += 1
         self.nodes[nid].note_contact(next_hop, self.now)
-        self._push(self.now + self.cfg.hop_latency_ms, EV_ARRIVE,
+        self._push(self.now + self.cfg.hop_latency_ms, "_handle_arrive",
                    next_hop, packet)
 
     # --- periodic machinery ----------------------------------------------
@@ -674,7 +674,7 @@ class Simulator:
         within = self._pair_within
         for i, j in zip(self._pair_i[within].tolist(), self._pair_j[within].tolist()):
             self._exchange_pair(i + 1, j + 1)
-        self._repeat(ms(self.cfg.exchange_interval_s), EV_EXCHANGE)
+        self._repeat(ms(self.cfg.exchange_interval_s), "_handle_exchange")
 
     def _exchange_pair(self, a: int, b: int) -> None:
         na, nb = self.nodes[a], self.nodes[b]
@@ -682,8 +682,8 @@ class Simulator:
             return
         na.note_contact(b, self.now)
         nb.note_contact(a, self.now)
-        keys_a = set(na.cache_keys()) if na.shares_cache() else set()
-        keys_b = set(nb.cache_keys()) if nb.shares_cache() else set()
+        keys_a = set(na.cache) if na.shares_cache() else set()
+        keys_b = set(nb.cache) if nb.shares_cache() else set()
         self.ledger["msgs_exchange"] += 2
         self.ledger["ctrl_bytes"] += _KEY_BYTES * (len(keys_a) + len(keys_b))
         # a's certificates that b lacks go first, then b's that a lacks
@@ -701,13 +701,13 @@ class Simulator:
             ca, cb = na.outgoing_cache_bytes(key), nb.outgoing_cache_bytes(key)
             if ca == cb or ca is None or cb is None:
                 continue
-            self._log("cache_mismatch", a, b, str(key[0]))
+            self.log.append((self.now, "cache_mismatch", a, b, key[0]))
             valid_a = self._cert_bytes_valid(ca)
             valid_b = self._cert_bytes_valid(cb)
             if valid_a and not valid_b:
-                nb.cache_replace(key, ca)
+                nb.cache[key] = ca
             elif valid_b and not valid_a:
-                na.cache_replace(key, cb)
+                na.cache[key] = cb
 
     def _cert_bytes_valid(self, data: bytes) -> bool:
         try:
@@ -722,40 +722,35 @@ class Simulator:
             out = self.nodes[nid].tick(self.now)
             if out:
                 self._emit(nid, out)
-        self._repeat(self.cfg.tick_interval_ms, EV_TICK)
+        self._repeat(self.cfg.tick_interval_ms, "_handle_tick")
 
     def _handle_accuse(self, nid: int) -> None:
         node = self.nodes[nid]
         victims = [v for v in self.neighbors_of(nid) if v not in self.malicious]
         if victims:
             victim = self.rng.choice(sorted(victims))
-            self._log("false_accusation", nid, victim, "")
+            self.log.append((self.now, "false_accusation", nid, victim, ""))
             self._emit(nid, node.initiate_challenge(victim, self.now))
             self._emit(nid, node.raise_global_alarm(victim, self.now))
-        self._repeat(60_000, EV_ACCUSE, nid)
+        self._repeat(60_000, "_handle_accuse", nid)
 
     # --- main loop --------------------------------------------------------
 
     def run(self) -> SimResult:
-        # bound per run: wrappers put on the class after __init__ are called
-        handlers = {
-            EV_TOPO: self._handle_topology, EV_FLOW: self._handle_flow,
-            EV_ARRIVE: self._handle_arrive, EV_SERVICE: self._handle_service,
-            EV_CTRL: self._handle_ctrl, EV_TICK: self._handle_tick,
-            EV_EXCHANGE: self._handle_exchange, EV_ACCUSE: self._handle_accuse,
-        }
         while self._queue:
             t, _, kind, args = heapq.heappop(self._queue)
             if t > self.duration_ms:
                 break
             self.now = t
-            handlers[kind](*args)
+            # looked up per event, so a wrapper put on the class after
+            # __init__ is the one called
+            getattr(self, kind)(*args)
 
         for nid, buffer in self.buffers.items():
             for packet in buffer:
                 self.flow_counters[packet.flow_id]["in_buffer"] += 1
         for _, _, kind, args in self._queue:
-            if kind == EV_ARRIVE:
+            if kind == "_handle_arrive":
                 _, packet = args
                 self.flow_counters[packet.flow_id]["in_flight"] += 1
 

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from trustwatch import messages
+from trustwatch import harness, messages
 from trustwatch.cli import main
 from trustwatch.messages import RepMessType, ReputationHeader
+from trustwatch.sim import run_scenario
 
 
 @pytest.fixture()
@@ -98,14 +99,23 @@ def test_codec_inspect_rejects_garbage(capsys):
     assert main(["codec", "inspect", "00ff"]) == 1
 
 
-def test_replay_runs_loc_baseline(tmp_path, scenario_file, capsys):
+def test_replay_runs_loc_baseline(tmp_path, scenario_file, monkeypatch,
+                                  capsys):
+    """Replaying a run's log raises the LOC alarms of the run itself."""
+    monkeypatch.delenv("TRUSTWATCH_SEED", raising=False)
     out = tmp_path / "out"
-    main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    main(["run", "--scenario", str(scenario_file), "--seed", "4",
+          "--out", str(out)])
     capsys.readouterr()
     rc = main(["replay", "--log", str(out / "events.log"),
                "--scenario", str(scenario_file)])
     assert rc == 0
-    assert "LOC alarms:" in capsys.readouterr().out
+    alarms = harness.loc_baseline(run_scenario(
+        harness.parse_scenario_file(scenario_file.read_text()), seed=4))
+    assert alarms
+    assert capsys.readouterr().out.splitlines() == [
+        f"LOC alarms: {len(alarms)}",
+        *(f"{t} loc_alarm {observer} {subject}" for t, observer, subject in alarms)]
 
 
 def test_replay_rejects_an_unknown_baseline_before_reading_the_log(
@@ -153,11 +163,12 @@ def _run(tmp_path, lines):
     (_run, "vote_window_s = -5\n", None),
     (_sweep, "values = 5, nan\nrepetitions = 1\n", None),
     (_run, "min_samples = -3\n", None),
+    (_sweep, "variable = node_count\nvalues = 10.5\nrepetitions = 1\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
         "replay-truncated",
         "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
         "run-infinite-duration", "run-negative-window", "sweep-nan-value",
-        "run-negative-min-samples"])
+        "run-negative-min-samples", "sweep-fractional-node-count"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:

@@ -220,7 +220,7 @@ def test_loc_baseline_alarms_on_every_window_over_threshold():
     # 2 clean then 4 drops: from the 3rd observation on, the window holds
     # >= 3 samples with a bad fraction above 0.25
     for i, outcome in enumerate([0, 0, 1, 1, 1, 1]):
-        log.append((1000 + i, "monitor_obs", 1, 2, str(outcome)))
+        log.append((1000 + i, "monitor_obs", 1, 2, outcome))
     alarms = loc_baseline(shim_result(log, config=cfg))
     assert [(t, o, s) for t, o, s in alarms] == [
         (1002, 1, 2), (1003, 1, 2), (1004, 1, 2), (1005, 1, 2)]
@@ -229,11 +229,11 @@ def test_loc_baseline_alarms_on_every_window_over_threshold():
 def test_loc_baseline_respects_window_expiry():
     cfg = ScenarioConfig(min_samples=3, monitor_threshold=0.25,
                          monitor_window_s=1.0)
-    log = [(0, "monitor_obs", 1, 2, "1"),
-           (100, "monitor_obs", 1, 2, "1"),
-           (200, "monitor_obs", 1, 2, "1"),
+    log = [(0, "monitor_obs", 1, 2, 1),
+           (100, "monitor_obs", 1, 2, 1),
+           (200, "monitor_obs", 1, 2, 1),
            # far in the future: the earlier samples have expired
-           (10_000, "monitor_obs", 1, 2, "1")]
+           (10_000, "monitor_obs", 1, 2, 1)]
     alarms = loc_baseline(shim_result(log, config=cfg))
     assert [t for t, _, _ in alarms] == [200]
 
@@ -242,8 +242,8 @@ def test_loc_window_count_uses_first_alarm_of_either_side():
     cfg = ScenarioConfig(min_samples=1, monitor_threshold=0.25,
                          overhead_window_s=10.0)
     log = [(5_000, "alarm_raised", 3, 2, ""),
-           (8_000, "monitor_obs", 1, 2, "1"),
-           (20_000, "monitor_obs", 1, 2, "1")]
+           (8_000, "monitor_obs", 1, 2, 1),
+           (20_000, "monitor_obs", 1, 2, 1)]
     res = shim_result(log, config=cfg)
     # window starts at the protocol's alarm (5 s), so only the 8 s LOC
     # alarm falls inside 5-15 s

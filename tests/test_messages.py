@@ -218,9 +218,6 @@ def test_authority_rejects_tags_of_a_node_not_enrolled(authority):
         assert not authority.verify_node(nid, body, tag(body, secret))
     # node 0 is no node: its frames fail the tag check, whoever signs them
     node = Node(1, bytes([1]) * 16, authority, ProtocolParams())
-    events = []
-    node.on_event = lambda now, kind, subject, detail: events.append(
-        (kind, subject))
     for signer in (0, 1):
         header = ReputationHeader(mess_type=int(RepMessType.CHALLENGE),
                                   subject=1, rep_val_raw=0, timestamp_ms=0,
@@ -228,7 +225,8 @@ def test_authority_rejects_tags_of_a_node_not_enrolled(authority):
         frame = encode_rep_mess(header, b"", bytes([signer]) * 16)
         assert not authority.open_frame(frame)[2]
         assert node.receive(frame, 1) == []
-    assert events == [("bad_tag", 0)] * 2
+    assert [(kind, subject) for _, kind, _, subject, _ in node.log] \
+        == [("bad_tag", 0)] * 2
 
 
 # --- the authority's memos ------------------------------------------------
@@ -355,16 +353,14 @@ def test_certificate_verdict_depends_on_the_threshold():
 
 def test_malformed_frame_logs_bad_frame_each_time_it_is_received(authority):
     node = Node(1, bytes([1]) * 16, authority, ProtocolParams())
-    events = []
-    node.on_event = lambda now, kind, subject, detail: events.append(
-        (kind, detail))
     header = ReputationHeader(mess_type=int(RepMessType.CHALLENGE), subject=1,
                               rep_val_raw=0, timestamp_ms=0, nonce=0, sender=2)
     truncated = encode_rep_mess(header, b"pay", bytes([2]) * 16)[:-1]
     for now in (1, 2, 3):
         assert node.receive(truncated, now) == []
     assert node.receive(bytearray(truncated), 4) == []
-    assert events == [("bad_frame", "LengthMismatch")] * 4
+    assert [(kind, detail) for _, kind, _, _, detail in node.log] \
+        == [("bad_frame", "LengthMismatch")] * 4
     assert authority._frames.cache_info().currsize == 0
 
 

@@ -296,7 +296,6 @@ def test_certificate_respondents_must_ascend_and_exclude_the_subject(
     adverse response is inside, rejects each one."""
     world = World(5)
     node = world.nodes[3]
-    events = record_events(node)
     ids = sorted(order)
     cert = make_cert(5, ids, [reports[r] for r in ids], nonce=10, at_ms=1000)
     by_id = {r.respondent: r for r in cert.responses}
@@ -307,7 +306,7 @@ def test_certificate_respondents_must_ascend_and_exclude_the_subject(
         messages.decode_certificate(data), THRESHOLD, world.authority) \
         is messages.Verdict.TAMPERED_RESPONSE
     assert node.handle_certificate(data, 1000, cache=True, from_node=5) == []
-    assert events == [("cert_rejected", 5, "tampered_response")]
+    assert logged(node) == [("cert_rejected", 5, "tampered_response")]
     assert 5 not in node.table
 
 
@@ -376,11 +375,9 @@ def test_replay_just_before_a_rotation_still_rejected_after_it():
 
 # --- hostile input from enrolled senders ----------------------------------
 
-def record_events(node):
-    events = []
-    node.on_event = lambda now, kind, subject, detail: events.append(
-        (kind, subject, detail))
-    return events
+def logged(node):
+    """The (kind, subject, detail) of each record the node has logged."""
+    return [(kind, subject, detail) for _, kind, _, subject, detail in node.log]
 
 
 def response_frame(respondent, accused, collect_nonce, w_raw, now, nonce):
@@ -398,14 +395,13 @@ def response_frame(respondent, accused, collect_nonce, w_raw, now, nonce):
 def test_rep_response_weight_over_scale_rejected_and_logged():
     world = World(3)
     accused = world.nodes[3]
-    events = record_events(accused)
     round_out = accused.receive(
         world.nodes[1].initiate_challenge(3, 1000)[0].data, 1001)
     state = accused.collect
     w_raw = 65535
     frame = response_frame(2, 3, state.nonce, w_raw, 1002, nonce=99)
     assert accused.receive(frame, 1002) == []
-    assert ("response_rejected", 2, f"w={w_raw}") in events
+    assert ("response_rejected", 2, f"w={w_raw}") in logged(accused)
     assert state.collected == {}
     # the honest responses still complete the round
     world.deliver(3, round_out, 1003)
@@ -417,7 +413,6 @@ def test_closed_collection_round_ignores_late_responses_and_frees_the_slot(
         close):
     world = World(3)
     accused = world.nodes[3]
-    events = record_events(accused)
     round_out = accused.receive(
         world.nodes[1].initiate_challenge(3, 1000)[0].data, 1000)
     old = accused.collect
@@ -429,7 +424,7 @@ def test_closed_collection_round_ignores_late_responses_and_frees_the_slot(
         now = old.deadline_ms
         accused.tick(now)
     assert accused.collect is None
-    issued = sum(kind == "cert_issued" for kind, _, _ in events)
+    issued = sum(kind == "cert_issued" for kind, _, _ in logged(accused))
     assert issued == (close == "last_response")
 
     # a late response to the closed round changes nothing
@@ -449,13 +444,13 @@ def test_closed_collection_round_ignores_late_responses_and_frees_the_slot(
     assert fresh.collected == {}
     world.deliver(3, out[1:], now + 1)
     assert accused.collect is None and set(fresh.collected) == {1, 2}
-    assert sum(kind == "cert_issued" for kind, _, _ in events) == issued + 1
+    assert sum(kind == "cert_issued" for kind, _, _ in logged(accused)) \
+        == issued + 1
 
 
 def test_certificate_with_out_of_range_response_logged_as_malformed():
     world = World(5)
     node = world.nodes[1]
-    events = record_events(node)
     m_raw, w_raw, nonce = 60000, to_fixed(1.0), 10
     rtag = tag(response_sign_bytes(5, 2, m_raw, w_raw, nonce), secret_for(2))
     body = certificate_body_bytes(GroupTrustCertificate(
@@ -464,7 +459,7 @@ def test_certificate_with_out_of_range_response_logged_as_malformed():
         certificate_tag=b""))
     data = body + tag(body, secret_for(5))
     assert node.handle_certificate(data, 1000, cache=True, from_node=5) == []
-    assert events == [("cert_malformed", 0, "RepValOverflow")]
+    assert logged(node) == [("cert_malformed", 0, "RepValOverflow")]
     assert 5 not in node.table
     assert len(node.cache) == 0
 
@@ -753,7 +748,7 @@ def diameter(adj):
 def exchange_round(world, now):
     """One synchronous pairwise cache exchange: transfers are decided from
     a start-of-round snapshot, so certificates move one hop per round."""
-    snapshot = {nid: set(node.cache_keys())
+    snapshot = {nid: set(node.cache)
                 for nid, node in world.nodes.items()}
     for a in sorted(world.nodes):
         for b in world.adjacency[a]:
@@ -767,14 +762,6 @@ def exchange_round(world, now):
                 world.nodes[a].handle_certificate(
                     world.nodes[b].outgoing_cache_bytes(key), now, cache=True,
                     from_node=b)
-
-
-@pytest.mark.parametrize("budget,offered", [(0, 0), (2, 2), (9, 5)])
-def test_piggyback_offers_the_newest_keys_within_budget(budget, offered):
-    node = World(2, params=ProtocolParams(piggyback_budget=budget)).nodes[1]
-    for i in range(5):
-        node._cache_put((i,), b"", 0)
-    assert node.piggyback_keys() == [(i,) for i in range(5 - offered, 5)]
 
 
 def seed_certs(world):
@@ -791,7 +778,7 @@ def seed_certs(world):
 
 
 def coverage(world, keys):
-    return all(set(keys) <= set(node.cache_keys())
+    return all(set(keys) <= set(node.cache)
                for node in world.nodes.values())
 
 

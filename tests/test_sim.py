@@ -15,9 +15,8 @@ import pytest
 from trustwatch import harness, messages, trust_math
 from trustwatch.node_protocol import Node
 from trustwatch.sim import (
-    EV_CTRL,
-    EV_SERVICE,
     PRESETS,
+    _KEY_BYTES,
     AdversaryNode,
     ConfigInvalid,
     ScenarioConfig,
@@ -382,7 +381,7 @@ def test_broadcast_is_one_event_charged_per_recipient():
     queued = len(sim._queue)
     sim._emit(1, alarm)
     assert len(sim._queue) == queued + 1
-    assert [args for _, _, kind, args in sim._queue if kind == EV_CTRL] \
+    assert [args for _, _, kind, args in sim._queue if kind == "_handle_ctrl"] \
         == [((2, 3), alarm[0].data)]
     assert sim.ledger["msgs_global_alarm"] == 2
     assert sim.ledger["ctrl_bytes"] == 2 * len(alarm[0].data)
@@ -411,7 +410,7 @@ def test_broadcast_reaches_the_neighbors_at_send_time(monkeypatch):
 
     monkeypatch.setattr(Node, "receive", receive)
     (t, args), = [(t, args) for t, _, kind, args in sim._queue
-                  if kind == EV_CTRL]
+                  if kind == "_handle_ctrl"]
     sim.now = t
     sim._handle_ctrl(*args)
     assert received == [2, 3]
@@ -426,7 +425,7 @@ class PerRecipientSimulator(Simulator):
                 super()._emit(src, [out])
                 continue
             for r in self.neighbors_of(src):
-                self._push(self.now + self.cfg.hop_latency_ms, EV_CTRL,
+                self._push(self.now + self.cfg.hop_latency_ms, "_handle_ctrl",
                            (r,), out.data)
                 self.ledger[f"msgs_{out.mess_type.name.lower()}"] += 1
                 self.ledger["ctrl_bytes"] += len(out.data)
@@ -468,7 +467,7 @@ def test_congestion_preset_overflows_buffers():
 
 class RelayCheckedSimulator(Simulator):
     """Checks after every event that each relay with a non-empty buffer
-    has exactly one EV_SERVICE queued and each empty relay has none."""
+    has exactly one service event queued and each empty relay has none."""
 
     def run(self):
         self.events = self.deepest = 0
@@ -481,7 +480,7 @@ class RelayCheckedSimulator(Simulator):
             handler(*args)
             self.events += 1
             queued = Counter(a[0] for _, _, kind, a in self._queue
-                             if kind == EV_SERVICE)
+                             if kind == "_handle_service")
             for nid, buffer in self.buffers.items():
                 assert queued[nid] == (1 if buffer else 0), \
                     f"t={self.now} relay {nid}: {len(buffer)} buffered, " \
@@ -524,6 +523,37 @@ def test_explicit_malicious_set_overrides_sampling():
     assert sim.malicious == {3}
     assert [nid for nid, node in sim.nodes.items()
             if isinstance(node, AdversaryNode)] == [3]
+
+
+@pytest.mark.parametrize("malicious,problems", [
+    ({0, 99}, ["malicious ids [0, 99] are not node ids 1..12"]),
+    ({3, 3.5}, ["malicious ids [3.5] are not node ids 1..12"]),
+    (set(range(1, 13)), ["malicious must leave at least one honest node"]),
+    ({0, *range(1, 13)}, ["malicious ids [0] are not node ids 1..12",
+                          "malicious must leave at least one honest node"]),
+], ids=["phantom", "fraction", "everyone", "both"])
+def test_explicit_malicious_set_must_name_nodes_and_leave_an_honest_one(
+        malicious, problems):
+    with pytest.raises(ConfigInvalid) as exc:
+        Simulator(small_config(), malicious=malicious)
+    assert exc.value.problems == problems
+
+
+@pytest.mark.parametrize("budget,charged", [(0, 0), (2, 2), (9, 5)])
+def test_a_sent_packet_is_charged_for_its_cache_keys_within_budget(
+        budget, charged):
+    """A sent packet is charged the bytes of the cache keys its source
+    could piggyback on it, at most ``piggyback_budget`` of them."""
+    sim = Simulator(small_config(node_count=2, flow_count=1,
+                                 mobility_model="static",
+                                 piggyback_budget=budget),
+                    positions=[(0.0, 0.0), (10.0, 0.0)])
+    src = sim.nodes[sim.flows[0].src]
+    for i in range(5):
+        src._cache_put((i,), b"", 0)
+    sim._handle_flow(0)
+    assert sim.flow_counters[0]["sent"] == 1
+    assert sim.ledger["pb_bytes"] == _KEY_BYTES * charged
 
 
 def test_feedback_dropper_drops_exactly_what_group_trust_calls_adverse():

@@ -48,7 +48,8 @@ def ms(seconds: float) -> int:
 
 @dataclass
 class ProtocolParams:
-    """Every protocol constant a scenario can set, times in seconds."""
+    """Every protocol constant a scenario can set, times in seconds but
+    ``hop_latency_ms``, its one time in ms."""
 
     alpha: float = 0.6
     alpha2: float = 0.8
@@ -71,19 +72,20 @@ class ProtocolParams:
     cache_capacity: int = 256
     piggyback_budget: int = 2
 
+    # the network, which bounds a frame's age
+    node_count: int = 50
+    hop_latency_ms: int = 5
+
     # not a field, so no scenario sets it; a test may set it on an instance
     alarm_jitter_ms = 10_000
 
     @property
-    def replay_window_ms(self) -> int:
-        return 2 * ms(self.exchange_interval_s)
-
-    @property
     def flood_span_ms(self) -> int:
-        """How long a node keeps an alarm flood's key, which must outlast
-        the flood. ``ScenarioConfig`` bounds it by its network; the test
-        ether delivers a whole flood at one instant."""
-        return self.replay_window_ms
+        """The oldest frame a node accepts, and how long it keeps a frame's
+        or a flood's key. A node relays a flood only on its first copy, one
+        broadcast hop after another relay, so a flood's last copy lands
+        within node_count hops of its start; one hop more outlasts it."""
+        return (self.node_count + 1) * self.hop_latency_ms
 
     def suspects(self, m: float, n: int) -> bool:
         """The watchdog rule, on a window's ``rate``: enough samples, and
@@ -126,12 +128,13 @@ class ReplayFilter:
 
     ``rotate`` drops the older generation and starts a new one once
     ``span`` ms have passed since the last rotation, so a key is kept for
-    at least ``span`` ms after it was added. A node stamps a frame when it
-    sends it, so a copy arriving after its (sender, nonce) key was dropped
-    is more than ``span`` ms old and fails the timestamp check before this
-    one. (Only the signer can stamp a frame in the future, and a signer can
-    as well sign a fresh frame.) A relay restamps an alarm flood, so its
-    key is kept instead for ``ProtocolParams.flood_span_ms``."""
+    at least ``span`` ms after it was added. Both of a node's filters
+    take ``ProtocolParams.flood_span_ms``, and no honest frame is that
+    old: a unicast crosses at most ``node_count - 1`` hops, and a relay
+    restamps a flood. So a copy arriving after its (sender, nonce) key was
+    dropped fails the timestamp check before this one. (Only the signer
+    can stamp a frame in the future, and a signer can as well sign a
+    fresh frame.)"""
 
     def __init__(self, span: int):
         self.span = span
@@ -237,7 +240,7 @@ class Node:
         self.alarmed: set[int] = set()  # subjects this node raised an alarm on
         self.last_alarm_seen_ms: dict[int, int] = {}
         self.flood_seen = ReplayFilter(params.flood_span_ms)
-        self.seen_nonces = ReplayFilter(params.replay_window_ms)
+        self.seen_nonces = ReplayFilter(params.flood_span_ms)
         # (now, kind, node_id, subject, detail) records; a simulator
         # replaces it with the run's one log
         self.log: list[tuple] = []
@@ -318,9 +321,11 @@ class Node:
             self._log(now, "bad_tag", header.sender, "")
             return []
         if now - header.timestamp_ms > self.seen_nonces.span:
+            self._log(now, "stale_frame", header.sender, "")
             return []
         replay_key = (header.sender, header.nonce)
         if replay_key in self.seen_nonces:
+            self._log(now, "replayed_frame", header.sender, "")
             return []
         self.seen_nonces.add(replay_key)
         self.note_contact(header.sender, now)
@@ -413,7 +418,7 @@ class Node:
             issuer_secret=self.secret)
         cert_bytes = messages.encode_certificate(cert)
         self.processed_certs[cert.key()] = now
-        self._cache_put(cert.key(), cert_bytes, now)
+        self._cache_put(cert.key(), cert_bytes)
         self._log(now, "cert_issued", self.node_id,
                   f"gt={cert.group_trust_raw} n={len(cert.responses)}")
         # broadcast to all neighbors; a random F-fraction of them become
@@ -454,7 +459,7 @@ class Node:
             # these bytes need not be the ones checked then
             if cache and key not in self.cache and self.authority.check_certificate(
                     cert_bytes, threshold) is Verdict.VALID:
-                self._cache_put(key, cert_bytes, now)
+                self._cache_put(key, cert_bytes)
             return []
 
         verdict = self.authority.check_certificate(cert_bytes, threshold)
@@ -499,7 +504,7 @@ class Node:
         self._log(now, "cert_accepted", cert.subject,
                   f"t={t_new:.4f} b={b:.4f}")
         if cache:
-            self._cache_put(key, cert_bytes, now)
+            self._cache_put(key, cert_bytes)
 
         out = []
         if adverse:
@@ -518,7 +523,7 @@ class Node:
         entry = self.table.get(node)
         return entry.rep_val if entry is not None else 1.0
 
-    def _cache_put(self, key: tuple, cert_bytes: bytes, now: int) -> None:
+    def _cache_put(self, key: tuple, cert_bytes: bytes) -> None:
         if key in self.cache:
             return
         while len(self.cache) >= self.params.cache_capacity:
@@ -736,7 +741,7 @@ class Node:
                 self.schedule_alarm(subject, now)
         return out
 
-    def replenish_tick(self, now: int) -> None:
+    def replenish_tick(self) -> None:
         for entry in self.table.values():
             entry.rep_val = trust_math.replenish(entry.rep_val, self.params.delta)
 

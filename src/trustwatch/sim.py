@@ -54,7 +54,6 @@ class ScenarioConfig(ProtocolParams):
     duration_s: float = 1000.0
     area_width_m: float = 100.0
     area_height_m: float = 100.0
-    node_count: int = 50
     tx_range_m: float = 30.0
     mobility_model: str = "random_waypoint"
     max_speed_mps: float = 20.0
@@ -67,7 +66,6 @@ class ScenarioConfig(ProtocolParams):
 
     topology_step_ms: int = 100
     service_slot_ms: int = 10
-    hop_latency_ms: int = 5
     tick_interval_ms: int = 500
 
     drop_prob: float = 1.0
@@ -79,13 +77,6 @@ class ScenarioConfig(ProtocolParams):
 
     overhead_window_s: float = 160.0
     rng_seed: int = 1
-
-    @property
-    def flood_span_ms(self) -> int:
-        # A node relays a flood only on its first copy, one broadcast hop
-        # after another relay, so a flood's last copy lands within
-        # node_count hops of its start; one hop more outlasts it.
-        return (self.node_count + 1) * self.hop_latency_ms
 
     def validate(self) -> None:
         problems = []
@@ -670,10 +661,11 @@ class Simulator:
 
     def _handle_exchange(self) -> None:
         for nid in self.ids:
-            self.nodes[nid].replenish_tick(self.now)
-        within = self._pair_within
-        for i, j in zip(self._pair_i[within].tolist(), self._pair_j[within].tolist()):
-            self._exchange_pair(i + 1, j + 1)
+            self.nodes[nid].replenish_tick()
+        # each neighbor pair once, a < b, in ascending (a, b) order
+        for a, lst in enumerate(self.neighbor_lists, 1):
+            for b in lst[bisect.bisect_right(lst, a):]:
+                self._exchange_pair(a, b)
         self._repeat(ms(self.cfg.exchange_interval_s), "_handle_exchange")
 
     def _exchange_pair(self, a: int, b: int) -> None:

@@ -37,6 +37,7 @@ from trustwatch.node_protocol import (
     ProtocolParams,
     vote_sign_bytes,
 )
+from trustwatch.sim import ScenarioConfig
 
 THRESHOLD = 0.5
 
@@ -347,19 +348,35 @@ def test_replay_of_identical_frame_ignored():
     first = accused.receive(frames[0].data, 1001)
     assert first  # ack + verify-behavior round
     assert accused.receive(frames[0].data, 1002) == []
+    assert logged(accused)[-1] == ("replayed_frame", 1, "")
 
 
 def test_stale_frame_outside_replay_window_ignored():
     world = World(3)
     frames = world.nodes[1].initiate_challenge(3, 1000)
-    stale_at = 1000 + world.params.replay_window_ms + 1
-    assert world.nodes[3].receive(frames[0].data, stale_at) == []
+    span = (world.params.node_count + 1) * world.params.hop_latency_ms
+    assert world.nodes[3].receive(frames[0].data, 1000 + span + 1) == []
+    assert logged(world.nodes[3]) == [("stale_frame", 1, "")]
+
+
+def test_a_unicast_across_the_whole_network_is_fresh():
+    """A unicast crosses at most node_count - 1 hops, so it is accepted
+    that old, whatever the exchange interval; it is stale one ms past
+    the span."""
+    cfg = ScenarioConfig(node_count=16, exchange_interval_s=0.003)
+    world = World(3, params=cfg)
+    oldest = (cfg.node_count - 1) * cfg.hop_latency_ms
+    frame = world.nodes[1].initiate_challenge(3, 1000)[0].data
+    assert world.nodes[3].receive(frame, 1000 + oldest)
+    frame = world.nodes[2].initiate_challenge(3, 1000)[0].data
+    assert world.nodes[3].receive(frame, 1000 + cfg.flood_span_ms + 1) == []
+    assert logged(world.nodes[3])[-1] == ("stale_frame", 2, "")
 
 
 def test_replay_just_before_a_rotation_still_rejected_after_it():
-    params = ProtocolParams(min_samples=3, exchange_interval_s=0.5)
+    params = ProtocolParams(min_samples=3, node_count=3, hop_latency_ms=250)
     params.alarm_jitter_ms = 1_000
-    window = params.replay_window_ms
+    window = (params.node_count + 1) * params.hop_latency_ms
     world = World(3, params=params)
     accused = world.nodes[3]
     frame = world.nodes[1].initiate_challenge(3, window - 2)[0].data
@@ -772,7 +789,7 @@ def seed_certs(world):
                          nonce=100 + nid, at_ms=0)
         data = encode_certificate(cert)
         node.processed_certs[cert.key()] = 0
-        node._cache_put(cert.key(), data, 0)
+        node._cache_put(cert.key(), data)
         keys.append(cert.key())
     return keys
 

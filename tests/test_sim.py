@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from trustwatch import harness, messages, trust_math
-from trustwatch.node_protocol import Node
+from trustwatch.node_protocol import _ALARM_PAYLOAD, Node
 from trustwatch.sim import (
     PRESETS,
     _KEY_BYTES,
@@ -550,7 +550,7 @@ def test_a_sent_packet_is_charged_for_its_cache_keys_within_budget(
                     positions=[(0.0, 0.0), (10.0, 0.0)])
     src = sim.nodes[sim.flows[0].src]
     for i in range(5):
-        src._cache_put((i,), b"", 0)
+        src._cache_put((i,), b"")
     sim._handle_flow(0)
     assert sim.flow_counters[0]["sent"] == 1
     assert sim.ledger["pb_bytes"] == _KEY_BYTES * charged
@@ -671,9 +671,9 @@ def test_replay_state_stays_flat_when_duration_doubles():
 
 def test_each_node_relays_each_flood_once():
     """A relay restamps an alarm flood, so only flood_seen stops a copy
-    that comes back. Here the replay window (6 ms) is shorter than a
-    flood's round trip (two 5 ms hops) and every tick rotates the
-    filters, yet every node sends each flood once."""
+    that comes back. Here copies come back to nodes that hold their
+    flood's key and every tick rotates the filters, yet every node sends
+    each flood once."""
 
     class Counted(Simulator):
         def _emit(self, src, outgoings):
@@ -683,14 +683,22 @@ def test_each_node_relays_each_flood_once():
                     self.sends.append((src, payload))
             super()._emit(src, outgoings)
 
+        def _handle_ctrl(self, recipients, frame):
+            header, payload, _ = self.authority.open_frame(frame)
+            if header.mess_type == messages.RepMessType.GLOBAL_ALARM:
+                kind, raiser, nonce = _ALARM_PAYLOAD.unpack_from(payload)
+                key = (kind, header.subject, raiser, nonce)
+                self.returns += sum(key in self.nodes[r].flood_seen
+                                    for r in recipients)
+            super()._handle_ctrl(recipients, frame)
+
     sim = Counted(ScenarioConfig(
         node_count=16, area_width_m=80.0, area_height_m=80.0,
         mobility_model="static", malicious_count=3, adv_false_accuser=True,
-        duration_s=12.0, rng_seed=3, exchange_interval_s=0.003,
-        tick_interval_ms=1))
-    sim.sends = []
+        duration_s=12.0, rng_seed=3, tick_interval_ms=1))
+    sim.sends, sim.returns = [], 0
     sim.run()
-    assert sim.sends
+    assert sim.sends and sim.returns
     assert len(set(sim.sends)) == len(sim.sends), Counter(sim.sends).most_common(3)
 
 

@@ -35,13 +35,6 @@ class MetricsReport:
     packets_sent: int = 0
     packets_delivered: int = 0
 
-    CSV_FIELDS = (
-        "false_positive_rate", "false_alarm_count", "detection_rate",
-        "mean_total_convergence_s", "mean_effective_convergence_s",
-        "alarm_count_window", "total_ctrl_bytes", "piggyback_bytes",
-        "certificates_issued", "packets_sent", "packets_delivered",
-    )
-
     def to_row(self) -> dict:
         def fmt(v):
             if v is None:
@@ -49,7 +42,12 @@ class MetricsReport:
             if isinstance(v, float):
                 return f"{v:.6f}"
             return str(v)
-        return {name: fmt(getattr(self, name)) for name in self.CSV_FIELDS}
+        return {name: fmt(getattr(self, name)) for name in CSV_FIELDS}
+
+
+# every field but the two lists of times, in declaration order
+CSV_FIELDS = tuple(f.name for f in fields(MetricsReport)
+                   if not f.name.endswith("_times_s"))
 
 
 def compute_metrics(result: SimResult) -> MetricsReport:
@@ -130,12 +128,10 @@ def loc_baseline(result: SimResult) -> list[tuple[int, int, int]]:
     return alarms
 
 
-def loc_alarm_count_window(result: SimResult,
-                           alarms: list[tuple[int, int, int]] | None = None) -> int:
+def loc_alarm_count_window(result: SimResult) -> int:
     """LOC alarms inside the overhead window, measured from the first
     alarm of either algorithm for comparability."""
-    if alarms is None:
-        alarms = loc_baseline(result)
+    alarms = loc_baseline(result)
     if not alarms:
         return 0
     proto_alarms = [t for t, kind, _, _, _ in result.log if kind == "alarm_raised"]
@@ -152,15 +148,20 @@ _BOOL_FALSE = {"false", "no", "0", "off"}
 
 
 def _parse_kv_lines(text: str) -> dict[str, str]:
-    out = {}
+    out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigInvalid([f"line {lineno}: expected 'key = value'"])
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigInvalid(
+                [f"line {lineno}: {key!r} is already set on line {set_on[key]}"])
+        set_on[key] = lineno
+        out[key] = value
     return out
 
 
@@ -179,17 +180,15 @@ def _coerce(name: str, value: str, target_type) -> object:
             [f"{name}: cannot parse {value!r} as {target_type.__name__}"])
 
 
-def scenario_from_mapping(mapping: dict[str, str],
-                          base: ScenarioConfig | None = None) -> ScenarioConfig:
+def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     mapping = dict(mapping)
     preset = mapping.pop("preset", None)
-    if base is None:
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ConfigInvalid([f"unknown preset {preset!r}"])
-            base = PRESETS[preset]()
-        else:
-            base = ScenarioConfig()
+    if preset is None:
+        base = ScenarioConfig()
+    elif preset in PRESETS:
+        base = PRESETS[preset]()
+    else:
+        raise ConfigInvalid([f"unknown preset {preset!r}"])
     known = {f.name for f in fields(ScenarioConfig)}
     unknown = [k for k in mapping if k not in known]
     if unknown:
@@ -299,7 +298,7 @@ def sweep_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
     """Per-run rows followed by mean/stddev aggregate rows per value."""
     buf = io.StringIO()
     header = ["run_id", "seed", "independent_var", "value",
-              *MetricsReport.CSV_FIELDS]
+              *CSV_FIELDS]
     writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
     writer.writeheader()
     for row in rows:
@@ -312,7 +311,7 @@ def sweep_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
                               ("stddev", lambda xs: statistics.pstdev(xs))):
             agg = {"run_id": f"{stat_name}@{value:g}", "seed": "",
                    "independent_var": spec.variable, "value": f"{value:g}"}
-            for name in MetricsReport.CSV_FIELDS:
+            for name in CSV_FIELDS:
                 vals = [getattr(m, name) for m in group]
                 vals = [v for v in vals if v is not None]
                 agg[name] = f"{fn(vals):.6f}" if vals else ""
@@ -335,15 +334,14 @@ def aggregate(rows: list[SweepRow], metric: str) -> dict[float, float]:
 # --- plots ----------------------------------------------------------------
 
 _PLOT_W, _PLOT_H, _MARGIN = 640, 420, 60
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_COLOR = "#1f77b4"
 
 
-def svg_plot(series: dict[str, dict[float, float]], title: str,
+def svg_plot(points: dict[float, float], title: str,
              xlabel: str, ylabel: str) -> str:
-    """Self-contained SVG line plot: one polyline per named series."""
-    xs = sorted({x for pts in series.values() for x in pts})
-    ys = [y for pts in series.values() for y in pts.values()]
-    if not xs or not ys:
+    """Self-contained SVG line plot of one series of (x, y) points."""
+    xs, ys = sorted(points), list(points.values())
+    if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys + [0.0]), max(ys)
@@ -383,19 +381,13 @@ def svg_plot(series: dict[str, dict[float, float]], title: str,
         parts.append(
             f'<text x="{_MARGIN - 6}" y="{py(tick):.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{tick:.3g}</text>')
-    for idx, (name, pts) in enumerate(series.items()):
-        color = _COLORS[idx % len(_COLORS)]
-        coords = " ".join(f"{px(x):.1f},{py(y):.1f}"
-                          for x, y in sorted(pts.items()))
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        for x, y in sorted(pts.items()):
-            parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3" '
-                         f'fill="{color}"/>')
-        parts.append(
-            f'<text x="{_PLOT_W - _MARGIN + 4}" y="{_MARGIN + 14 * idx + 10}" '
-            f'font-family="sans-serif" font-size="11" fill="{color}" '
-            f'text-anchor="end">{name}</text>')
+    pts = sorted(points.items())
+    coords = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in pts)
+    parts.append(f'<polyline points="{coords}" fill="none" '
+                 f'stroke="{_COLOR}" stroke-width="2"/>')
+    for x, y in pts:
+        parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3" '
+                     f'fill="{_COLOR}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -412,7 +404,6 @@ def sweep_plots(spec: SweepSpec, rows: list[SweepRow]) -> dict[str, str]:
         data = aggregate(rows, metric)
         if not data:
             continue
-        plots[metric] = svg_plot({metric: data},
-                                 f"{metric} vs {spec.variable}",
+        plots[metric] = svg_plot(data, f"{metric} vs {spec.variable}",
                                  spec.variable, label)
     return plots

@@ -175,7 +175,6 @@ class TableEntry:
 
 @dataclass
 class AccuserChallenge:
-    subject: int
     nonce: int
     ack_deadline_ms: int
     close_at_ms: int
@@ -220,7 +219,7 @@ class Node:
         self.authority = authority
         self.params = params
         self.rng = random.Random((seed << 20) ^ (node_id * 2654435761 % 2**31))
-        self.neighbors: tuple[int, ...] = ()
+        self.neighbors: list[int] = []
 
         self.table: dict[int, TableEntry] = {}
         self.isolated: set[int] = set()
@@ -268,9 +267,9 @@ class Node:
             self.last_contact_ms[other] = now
 
     def set_neighbors(self, neighbors: list[int]) -> None:
-        # an immutable copy, cheaper to build than a sorted list or a
-        # frozenset; no reader depends on its order
-        self.neighbors = tuple(neighbors)
+        """Keep ``neighbors`` itself, not a copy. The caller keeps it sorted
+        and current; the node only reads it."""
+        self.neighbors = neighbors
 
     # --- monitor ----------------------------------------------------------
 
@@ -300,7 +299,7 @@ class Node:
             return []
         nonce = self._nonce()
         self.challenges[subject] = AccuserChallenge(
-            subject=subject, nonce=nonce,
+            nonce=nonce,
             ack_deadline_ms=now + ms(self.params.challenge_ack_deadline_s),
             close_at_ms=now + ms(self.params.challenge_ack_deadline_s)
             + ms(self.params.collect_window_s) + 5_000)

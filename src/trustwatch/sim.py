@@ -179,7 +179,6 @@ class AdversaryNode(Node):
 
 @dataclass
 class Flow:
-    flow_id: int
     src: int
     dst: int
     route: list[int] | None = None
@@ -188,9 +187,7 @@ class Flow:
 @dataclass
 class DataPacket:
     flow_id: int
-    src: int
-    dst: int
-    route: list[int]
+    route: list[int]  # source first, destination last
     hop_index: int
     watched_by: int | None = None
     tampered: bool = False
@@ -307,6 +304,8 @@ class Simulator:
         self.malicious = _checked_malicious(malicious, config)
 
         self.log: list[tuple] = []  # every node appends to it too
+        # sorted, index i <-> node id i+1; each node reads its own list
+        self.neighbor_lists: list[list[int]] = [[] for _ in range(n)]
         self.nodes: dict[int, Node] = {}
         for nid in self.ids:
             secret = self.rng.randbytes(32)
@@ -314,6 +313,7 @@ class Simulator:
             cls = AdversaryNode if nid in self.malicious else Node
             node = cls(nid, secret, self.authority, config, seed=config.rng_seed)
             node.log = self.log
+            node.set_neighbors(self.neighbor_lists[nid - 1])
             self.nodes[nid] = node
 
         # mobility state (index i <-> node id i+1)
@@ -334,15 +334,14 @@ class Simulator:
         self.adj = np.zeros((n, n), dtype=bool)
         self._pair_i, self._pair_j = np.triu_indices(n, 1)
         self._pair_within = np.zeros(len(self._pair_i), dtype=bool)
-        self.neighbor_lists: list[list[int]] = [[] for _ in range(n)]
         self.ever_neighbors: dict[int, set[int]] = {nid: set() for nid in self.ids}
-        self._recompute_topology(initial=True)
+        self._recompute_topology()
 
         # flows between distinct endpoints
         self.flows: dict[int, Flow] = {}
         for fid in range(config.flow_count):
             src, dst = self.rng.sample(self.ids, 2)
-            self.flows[fid] = Flow(fid, src, dst)
+            self.flows[fid] = Flow(src, dst)
         self.flow_counters = {
             fid: Counter(sent=0, delivered=0, delivered_tampered=0,
                          dropped_malicious=0, dropped_buffer=0,
@@ -356,8 +355,9 @@ class Simulator:
 
         self.ledger: Counter = Counter()
 
-        # initial schedule
-        self._push(config.topology_step_ms, "_handle_topology")
+        # initial schedule; a static world never changes its graph
+        if config.mobility_model == "random_waypoint":
+            self._push(config.topology_step_ms, "_handle_topology")
         self._push(config.tick_interval_ms, "_handle_tick")
         self._push(ms(config.exchange_interval_s), "_handle_exchange")
         period = max(1, int(1000 / config.flow_rate_pps))
@@ -393,12 +393,9 @@ class Simulator:
             s = self.rng.uniform(0, self.cfg.max_speed_mps)
         self.speed[i] = s
 
-    def _step_mobility(self, dt_s: float) -> bool:
+    def _step_mobility(self, dt_s: float) -> None:
         """Advance every node ``dt_s`` seconds along its random waypoint
-        path. Returns whether a node may have moved: False only for the
-        static model, whose unit-disk graph never changes after set-up."""
-        if self.cfg.mobility_model != "random_waypoint":
-            return False
+        path."""
         delta = self.waypoint - self.pos
         dist = np.hypot(delta[:, 0], delta[:, 1])
         step = self.speed * dt_s
@@ -417,20 +414,20 @@ class Simulator:
             else:
                 self.pos[i] = self.waypoint[i]
                 self.pause_until[i] = self.now + self.cfg.pause_s * 1000
-        return True
 
     def _handle_topology(self) -> None:
-        if self._step_mobility(self.cfg.topology_step_ms / 1000.0):
-            self._recompute_topology()
+        self._step_mobility(self.cfg.topology_step_ms / 1000.0)
+        self._recompute_topology()
         self._repeat(self.cfg.topology_step_ms, "_handle_topology")
 
-    def _recompute_topology(self, initial: bool = False) -> None:
+    def _recompute_topology(self) -> None:
         """Update the unit-disk graph from the current positions.
 
         Squared distances are computed once over the upper triangle of
         node pairs, and only pairs whose in-range bit flipped touch the
-        neighbor lists, ``ever_neighbors`` and the nodes. ``self.adj`` is
-        replaced by a new array exactly when the edge set changes."""
+        neighbor lists and ``ever_neighbors``. The lists are updated in
+        place, so each node sees the change. ``self.adj`` is replaced by
+        a new array exactly when the edge set changes."""
         # dx * dx + dy * dy computed in place: the same roundings as a
         # dense (diff ** 2).sum(axis=2), so the edge set is bit-identical
         x, y = self.pos[:, 0].copy(), self.pos[:, 1].copy()
@@ -444,7 +441,6 @@ class Simulator:
         within = dx <= self.cfg.tx_range_m ** 2
         flips = np.flatnonzero(within != self._pair_within)
         self._pair_within = within
-        touched = set(range(self.cfg.node_count)) if initial else set()
         if len(flips):
             fi, fj, added = self._pair_i[flips], self._pair_j[flips], within[flips]
             adj = self.adj.copy()
@@ -461,10 +457,6 @@ class Simulator:
                 else:
                     lists[i].remove(b)
                     lists[j].remove(a)
-                touched.add(i)
-                touched.add(j)
-        for i in sorted(touched):
-            self.nodes[i + 1].set_neighbors(self.neighbor_lists[i])
 
     def neighbors_of(self, nid: int) -> list[int]:
         return self.neighbor_lists[nid - 1]
@@ -481,8 +473,6 @@ class Simulator:
         for x in blocked:
             dist[x] = -2
         dist[root] = 0
-        if root == target:
-            return dist
         lists = self.neighbor_lists
         frontier = [root]
         d = 0
@@ -505,8 +495,6 @@ class Simulator:
         isolated nodes. Charges one synthetic discovery flood."""
         self.ledger["route_discoveries"] += 1
         self.ledger["msgs_routing"] += self.cfg.node_count
-        if src == dst:
-            return [src]
         dist = self._bfs(dst, src, {x for x in isolated if x != src and x != dst})
         if dist[src] < 0:
             return None
@@ -578,15 +566,13 @@ class Simulator:
         src_node = self.nodes[flow.src]
         if flow.route is None or not self._route_valid(flow.route, src_node.isolated):
             flow.route = self.compute_route(flow.src, flow.dst, src_node.isolated)
-        if flow.route is None or len(flow.route) < 2:
+        if flow.route is None:
             counters["no_route"] += 1
-            flow.route = None
         else:
             watched = flow.src if self.rng.random() < self.cfg.monitor_sample_prob \
                 else None
-            packet = DataPacket(
-                flow_id=fid, src=flow.src, dst=flow.dst,
-                route=list(flow.route), hop_index=1, watched_by=watched)
+            packet = DataPacket(flow_id=fid, route=list(flow.route),
+                                hop_index=1, watched_by=watched)
             counters["sent"] += 1
             self.ledger["pb_bytes"] += _KEY_BYTES * min(len(src_node.cache),
                                                         self.cfg.piggyback_budget)
@@ -605,14 +591,14 @@ class Simulator:
         node = self.nodes[nid]
         upstream = packet.route[packet.hop_index - 1]
         node.note_contact(upstream, self.now)
-        if nid == packet.dst:
+        if nid == packet.route[-1]:
             counters = self.flow_counters[packet.flow_id]
             counters["delivered"] += 1
             if packet.tampered:
                 counters["delivered_tampered"] += 1
             return
         # relay
-        if packet.src in node.isolated:
+        if packet.route[0] in node.isolated:
             # punitive drop of an isolated originator's traffic; watchers
             # share the verdict and do not count it against the relay
             self._drop_packet(packet, "isolated_src", nid, observed=False)
@@ -768,8 +754,7 @@ class Simulator:
         )
 
 
-def run_scenario(config: ScenarioConfig, seed: int | None = None,
-                 **sim_kwargs) -> SimResult:
+def run_scenario(config: ScenarioConfig, seed: int | None = None) -> SimResult:
     if seed is not None:
         config = replace(config, rng_seed=seed)
-    return Simulator(config, **sim_kwargs).run()
+    return Simulator(config).run()

@@ -127,10 +127,18 @@ def test_replay_rejects_an_unknown_baseline_before_reading_the_log(
     assert "invalid choice: 'lco'" in capsys.readouterr().err
 
 
+def _with_defaults(lines, **defaults):
+    """``lines``, then each default whose key they do not set: a file may
+    set a key only once."""
+    given = {line.split("=")[0].strip() for line in lines.splitlines()}
+    return lines + "".join(f"{key} = {value}\n" for key, value in defaults.items()
+                           if key not in given)
+
+
 def _sweep(tmp_path, lines):
     spec = tmp_path / "sweep.txt"
-    spec.write_text("variable = max_speed\n" + lines + "node_count = 10\n"
-                    "flow_count = 3\nmalicious_count = 1\nduration_s = 10\n")
+    spec.write_text(_with_defaults(lines, variable="max_speed", node_count=10,
+                                   flow_count=3, malicious_count=1, duration_s=10))
     return ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]
 
 
@@ -146,7 +154,7 @@ def _seeded_run(tmp_path, lines):
 
 def _run(tmp_path, lines):
     scenario = tmp_path / "scenario.txt"
-    scenario.write_text("duration_s = 10\nmalicious_count = 0\n" + lines)
+    scenario.write_text(_with_defaults(lines, duration_s=10, malicious_count=0))
     return ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
 
 
@@ -178,3 +186,17 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
     assert err.startswith("config error:")
     if argv is _replay:
         assert f"{tmp_path / 'events.log'} line 2" in err
+
+
+@pytest.mark.parametrize("argv, text, problem", [
+    (_run, "node_count = 10\nflow_count = 2\nnode_count = 12\n",
+     "line 3: 'node_count' is already set on line 1"),
+    (_sweep, "values = 5\n\nvalues = 10\nrepetitions = 1\n",
+     "line 3: 'values' is already set on line 1"),
+], ids=["scenario", "sweep"])
+def test_a_key_given_twice_is_a_config_error(tmp_path, capsys, argv, text,
+                                             problem):
+    assert main(argv(tmp_path, text)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert problem in err

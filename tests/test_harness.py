@@ -64,6 +64,19 @@ def test_scenario_file_unknown_key_is_hard_error():
     assert "node_cuont" in str(err.value)
 
 
+def test_scenario_file_key_given_twice_is_rejected():
+    with pytest.raises(ConfigInvalid,
+                       match="line 3: 'node_count' is already set on line 1"):
+        parse_scenario_file("node_count = 10\n# a comment\nnode_count=12\n")
+
+
+def test_sweep_file_key_given_twice_is_rejected():
+    with pytest.raises(ConfigInvalid,
+                       match="line 4: 'variable' is already set on line 1"):
+        parse_sweep_file("variable = max_speed\nvalues = 5\nrepetitions = 1\n"
+                         "variable = node_count\n")
+
+
 def test_scenario_file_unknown_preset_rejected():
     with pytest.raises(ConfigInvalid):
         parse_scenario_file("preset = nonesuch\n")
@@ -184,8 +197,9 @@ def test_sweep_plots_emit_svg():
 
 
 def test_svg_plot_handles_degenerate_input():
-    svg = svg_plot({"s": {1.0: 2.0}}, "t", "x", "y")
-    assert "<svg" in svg
+    for points in ({1.0: 2.0}, {}):
+        svg = svg_plot(points, "t", "x", "y")
+        assert "<svg" in svg
 
 
 # --- metrics --------------------------------------------------------------

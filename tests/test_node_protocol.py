@@ -31,6 +31,7 @@ from trustwatch.node_protocol import (
     OUTCOME_OK,
     _ALARM_PAYLOAD,
     _RESP_PAYLOAD,
+    _VOTE_PAYLOAD,
     _VOTE_RECORD,
     MonitorWindow,
     Node,
@@ -465,6 +466,34 @@ def test_closed_collection_round_ignores_late_responses_and_frees_the_slot(
         == issued + 1
 
 
+def test_a_round_closed_by_its_deadline_certifies_the_responses_it_has():
+    world = World(4)
+    accused = world.nodes[4]
+    round_out = accused.receive(
+        world.nodes[1].initiate_challenge(4, 1000)[0].data, 1000)
+    state = accused.collect
+    assert state.expected == {1, 2, 3}
+    world.blocked = {(3, 4)}  # node 3's response never arrives
+    world.deliver(4, round_out, 1001)
+    assert list(state.collected) == [1, 2]
+    assert accused.tick(state.deadline_ms - 1) == []
+    assert accused.collect is state
+
+    out = accused.tick(state.deadline_ms)
+    assert accused.collect is None
+    assert ("cert_issued", 4, "gt=10000 n=2") in logged(accused)
+    (data,) = accused.cache.values()
+    assert accused.authority.check_certificate(data, THRESHOLD) \
+        is messages.Verdict.VALID
+    cert = messages.decode_certificate(data)
+    assert cert.issued_at_ms == state.deadline_ms
+    assert cert.challenge_nonce == state.nonce
+    assert list(cert.responses) == list(state.collected.values())
+    # the certificate goes to every neighbor, the silent one included
+    assert [(o.dest, o.mess_type) for o in out] == \
+        [(nid, RepMessType.REP_BROADCAST) for nid in (1, 2, 3)]
+
+
 def test_certificate_with_out_of_range_response_logged_as_malformed():
     world = World(5)
     node = world.nodes[1]
@@ -712,6 +741,30 @@ def test_cooperative_node_votes_no():
 def test_no_interaction_means_abstain():
     world = World(5)
     assert world.nodes[1]._alarm_vote(5, 1000) is None
+
+
+def test_a_late_vote_or_a_vote_for_another_alarm_is_not_counted():
+    world = World(5)
+    raiser = world.nodes[1]
+    raiser.raise_global_alarm(5, 1000)
+    state = raiser.alarms[5]
+    assert state.deadline_ms == 1000 + 1000 * raiser.params.vote_window_s
+
+    def vote(voter, alarm_nonce, now):
+        vtag = tag(vote_sign_bytes(5, 1, voter, alarm_nonce, True),
+                   secret_for(voter))
+        payload = _VOTE_PAYLOAD.pack(0, 1, alarm_nonce, voter, 1, vtag)
+        frame = world.nodes[voter]._send(1, RepMessType.ALARM_VOTE, 5,
+                                         to_fixed(1.0), payload, now).data
+        assert raiser.receive(frame, now) == []
+
+    vote(2, state.nonce ^ 1, 1001)  # signed, but for another alarm
+    vote(3, state.nonce, state.deadline_ms + 1)  # after the vote window
+    assert set(state.votes) == {1}
+    vote(4, state.nonce, state.deadline_ms)  # the last moment that counts
+    assert set(state.votes) == {1, 4}
+    raiser.tick(state.deadline_ms)
+    assert ("alarm_tally", 5, "yes=2 total=2") in logged(raiser)
 
 
 # --- exchange rounds on static topologies (eventual delivery) -------------

@@ -117,9 +117,8 @@ def test_table1_literal_is_single_hop_everywhere():
 def test_static_positions_never_move():
     sim = Simulator(small_config(mobility_model="static"))
     before = sim.pos.copy()
-    for _ in range(50):
-        sim.now += 100
-        assert sim._step_mobility(0.1) is False
+    assert "_handle_topology" not in [kind for _, _, kind, _ in sim._queue]
+    sim.run()
     assert np.array_equal(sim.pos, before)
 
 
@@ -172,7 +171,7 @@ def test_mobility_step_is_bit_identical_to_the_reference():
         ref.now = sim.now
         draws = sim.rng.getstate()
         waiting = int((sim.pause_until > sim.now).sum())
-        assert sim._step_mobility(dt_s) is True
+        sim._step_mobility(dt_s)
         reference_step_mobility(ref, dt_s)
         for name in ("pos", "waypoint", "speed", "pause_until"):
             assert np.array_equal(getattr(sim, name), getattr(ref, name)), \
@@ -192,7 +191,7 @@ def test_static_run_never_recomputes_the_topology(monkeypatch):
             return _fn(self, *args)
         monkeypatch.setattr(Simulator, name, counted)
     sim.run()
-    assert calls["_step_mobility"] == sim.duration_ms // sim.cfg.topology_step_ms
+    assert calls["_step_mobility"] == 0
     assert calls["_recompute_topology"] == 0
 
 
@@ -254,7 +253,6 @@ def test_topology_untouched_when_nothing_moves():
     lists = [list(x) for x in sim.neighbor_lists]
     for _ in range(5):
         sim.now += 100
-        sim._step_mobility(0.1)
         sim._recompute_topology()
     assert sim.adj is adj
     assert sim.neighbor_lists == lists
@@ -393,6 +391,18 @@ def test_broadcast_from_a_node_without_neighbors_is_not_queued_or_charged():
     sim._emit(4, sim.nodes[4].raise_global_alarm(1, 0))
     assert sim._queue == queued
     assert dict(sim.ledger) == dict(ledger)
+
+
+def test_a_unicast_to_another_partition_is_charged_but_not_queued():
+    sim = star_sim()
+    queued, ledger = list(sim._queue), Counter(sim.ledger)
+    challenge = sim.nodes[1].initiate_challenge(4, 0)
+    assert [o.dest for o in challenge] == [4]
+    sim._emit(1, challenge)
+    assert sim._queue == queued
+    ledger["ctrl_undeliverable"] += 1
+    assert dict(sim.ledger) == dict(ledger)
+    assert not [key for key in sim.ledger if key.startswith("msgs_")]
 
 
 def test_broadcast_reaches_the_neighbors_at_send_time(monkeypatch):

@@ -96,12 +96,18 @@ def cmd_replay(args) -> int:
             detail = rest[0] if rest else ""
             if kind == "monitor_obs":
                 detail = int(detail)  # the outcome the LOC baseline replays
-            records.append((int(t), kind, int(actor), int(subject), detail))
+            record = (int(t), kind, int(actor), int(subject), detail)
         except ValueError:
             raise ConfigInvalid([f"{args.log} line {lineno}: a line needs a "
                                  f"time, kind, actor and subject, and time, "
                                  f"actor, subject and a monitor_obs outcome "
                                  f"must be integers: {line!r}"])
+        # the monitor windows take their samples in time order
+        if records and record[0] < records[-1][0]:
+            raise ConfigInvalid([f"{args.log} line {lineno}: time {record[0]} "
+                                 f"is before time {records[-1][0]} on an "
+                                 f"earlier line"])
+        records.append(record)
     shim = SimResult(config=cfg, log=records, ledger={}, malicious=set(),
                      cert_issued={}, cert_holders={}, ever_neighbors={},
                      isolated_final={}, flow_counters={})

@@ -140,17 +140,21 @@ class Authority:
         # sees every miss
         self._tags = lru_cache(TAG_MEMO_SIZE)(
             lambda node_id, body, tag_: self.verify_tag(node_id, body, tag_))
-        self._frames = lru_cache(1)(self._open_frame)
-        self._certs = lru_cache(CERT_MEMO_SIZE)(
+        # (header, payload, tag_ok); raises what decode_rep_mess raises
+        self.open_frame = lru_cache(1)(self._open_frame)
+        # the certificate; raises what decode_certificate raises
+        self.open_certificate = lru_cache(CERT_MEMO_SIZE)(
             lambda data: decode_certificate(data))
-        self._verdicts = lru_cache(CERT_MEMO_SIZE)(
+        # its Verdict at threshold; raises what decode_certificate raises
+        self.check_certificate = lru_cache(CERT_MEMO_SIZE)(
             lambda data, threshold: verify_group_certificate(
                 self.open_certificate(data), threshold, self))
 
     def enroll(self, node_id: int, secret: bytes) -> None:
         """Register a node's secret, replacing any earlier one."""
         self._secrets[node_id] = secret
-        for memo in (self._tags, self._frames, self._certs, self._verdicts):
+        for memo in (self._tags, self.open_frame, self.open_certificate,
+                     self.check_certificate):
             memo.cache_clear()
 
     def verify_tag(self, node_id: int, message_bytes: bytes, tag_: bytes) -> bool:
@@ -164,27 +168,12 @@ class Authority:
         """``verify_tag``, memoized."""
         return self._tags(node_id, bytes(message_bytes), bytes(tag_))
 
-    def open_frame(self, data: bytes) -> tuple[ReputationHeader, bytes, bool]:
-        """(header, payload, tag_ok) of a frame: ``decode_rep_mess`` and
-        whether the tag verifies as the sender's. Raises what
-        ``decode_rep_mess`` raises."""
-        return self._frames(data)
-
     def _open_frame(self, data: bytes) -> tuple[ReputationHeader, bytes, bool]:
         # the tag is checked past the tag memo, whose entries the frame
         # memo's own would only crowd out
         header, payload, frame_tag = decode_rep_mess(data)
         return header, payload, \
             self.verify_tag(header.sender, data[:-TAG_LEN], frame_tag)
-
-    def open_certificate(self, data: bytes) -> GroupTrustCertificate:
-        """``decode_certificate(data)``, raising what it raises."""
-        return self._certs(data)
-
-    def check_certificate(self, data: bytes, threshold: float) -> Verdict:
-        """``verify_group_certificate`` of the certificate in ``data``,
-        raising what ``decode_certificate`` raises."""
-        return self._verdicts(data, threshold)
 
 
 def encode_rep_mess(header: ReputationHeader, payload: bytes,

@@ -23,7 +23,7 @@ import heapq
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -181,14 +181,21 @@ class AdversaryNode(Node):
 class Flow:
     src: int
     dst: int
+    # source first, destination last. Replaced, never changed in place:
+    # compute_route returns a fresh list, and each packet shares the route
+    # its flow had when it was sent.
     route: list[int] | None = None
+    counters: dict[str, int] = field(default_factory=lambda: dict.fromkeys((
+        "sent", "delivered", "delivered_tampered", "dropped_malicious",
+        "dropped_buffer", "dropped_route_broken", "dropped_isolated_src",
+        "no_route", "in_buffer", "in_flight"), 0))
 
 
 @dataclass
 class DataPacket:
-    flow_id: int
-    route: list[int]  # source first, destination last
-    hop_index: int
+    flow: Flow
+    route: list[int]  # its flow's route when it was sent
+    hop_index: int  # the packet is at route[hop_index]
     watched_by: int | None = None
     tampered: bool = False
 
@@ -337,18 +344,10 @@ class Simulator:
         self.ever_neighbors: dict[int, set[int]] = {nid: set() for nid in self.ids}
         self._recompute_topology()
 
-        # flows between distinct endpoints
-        self.flows: dict[int, Flow] = {}
-        for fid in range(config.flow_count):
-            src, dst = self.rng.sample(self.ids, 2)
-            self.flows[fid] = Flow(src, dst)
-        self.flow_counters = {
-            fid: Counter(sent=0, delivered=0, delivered_tampered=0,
-                         dropped_malicious=0, dropped_buffer=0,
-                         dropped_route_broken=0, dropped_isolated_src=0,
-                         no_route=0, in_buffer=0, in_flight=0)
-            for fid in self.flows
-        }
+        # flows between distinct endpoints, indexed by flow id
+        self.flows = [Flow(*self.rng.sample(self.ids, 2))
+                      for _ in range(config.flow_count)]
+        self.flow_period = max(1, int(1000 / config.flow_rate_pps))
 
         self.buffers: dict[int, deque] = {nid: deque() for nid in self.ids}
         self.free_at: dict[int, int] = {nid: 0 for nid in self.ids}
@@ -360,10 +359,8 @@ class Simulator:
             self._push(config.topology_step_ms, "_handle_topology")
         self._push(config.tick_interval_ms, "_handle_tick")
         self._push(ms(config.exchange_interval_s), "_handle_exchange")
-        period = max(1, int(1000 / config.flow_rate_pps))
-        for fid in self.flows:
-            start = self.rng.randrange(period)
-            self._push(start, "_handle_flow", fid)
+        for flow in self.flows:
+            self._push(self.rng.randrange(self.flow_period), "_handle_flow", flow)
         if config.adv_false_accuser:
             for nid in sorted(self.malicious):
                 self._push(30_000 + self.rng.randrange(5_000), "_handle_accuse",
@@ -560,39 +557,36 @@ class Simulator:
 
     # --- data plane -------------------------------------------------------
 
-    def _handle_flow(self, fid: int) -> None:
-        flow = self.flows[fid]
-        counters = self.flow_counters[fid]
+    def _handle_flow(self, flow: Flow) -> None:
         src_node = self.nodes[flow.src]
         if flow.route is None or not self._route_valid(flow.route, src_node.isolated):
             flow.route = self.compute_route(flow.src, flow.dst, src_node.isolated)
         if flow.route is None:
-            counters["no_route"] += 1
+            flow.counters["no_route"] += 1
         else:
             watched = flow.src if self.rng.random() < self.cfg.monitor_sample_prob \
                 else None
-            packet = DataPacket(flow_id=fid, route=list(flow.route),
-                                hop_index=1, watched_by=watched)
-            counters["sent"] += 1
+            packet = DataPacket(flow, flow.route, hop_index=1, watched_by=watched)
+            flow.counters["sent"] += 1
             self.ledger["pb_bytes"] += _KEY_BYTES * min(len(src_node.cache),
                                                         self.cfg.piggyback_budget)
-            src_node.note_contact(packet.route[1], self.now)
-            self._push(self.now + self.cfg.hop_latency_ms, "_handle_arrive",
-                       packet.route[1], packet)
-        self._repeat(max(1, int(1000 / self.cfg.flow_rate_pps)), "_handle_flow", fid)
+            src_node.note_contact(flow.route[1], self.now)
+            self._push(self.now + self.cfg.hop_latency_ms, "_handle_arrive", packet)
+        self._repeat(self.flow_period, "_handle_flow", flow)
 
-    def _drop_packet(self, packet: DataPacket, reason: str,
-                     at: int, observed: bool) -> None:
-        self.flow_counters[packet.flow_id][f"dropped_{reason}"] += 1
+    def _drop_packet(self, packet: DataPacket, reason: str, observed: bool) -> None:
+        packet.flow.counters[f"dropped_{reason}"] += 1
         if observed and packet.watched_by is not None:
-            self._observe(packet.watched_by, at, OUTCOME_DROP)
+            self._observe(packet.watched_by, packet.route[packet.hop_index],
+                          OUTCOME_DROP)
 
-    def _handle_arrive(self, nid: int, packet: DataPacket) -> None:
+    def _handle_arrive(self, packet: DataPacket) -> None:
+        nid = packet.route[packet.hop_index]
         node = self.nodes[nid]
         upstream = packet.route[packet.hop_index - 1]
         node.note_contact(upstream, self.now)
         if nid == packet.route[-1]:
-            counters = self.flow_counters[packet.flow_id]
+            counters = packet.flow.counters
             counters["delivered"] += 1
             if packet.tampered:
                 counters["delivered_tampered"] += 1
@@ -601,14 +595,14 @@ class Simulator:
         if packet.route[0] in node.isolated:
             # punitive drop of an isolated originator's traffic; watchers
             # share the verdict and do not count it against the relay
-            self._drop_packet(packet, "isolated_src", nid, observed=False)
+            self._drop_packet(packet, "isolated_src", observed=False)
             return
         if nid in self.malicious and self.rng.random() < self.cfg.drop_prob:
-            self._drop_packet(packet, "malicious", nid, observed=True)
+            self._drop_packet(packet, "malicious", observed=True)
             return
         buffer = self.buffers[nid]
         if len(buffer) >= self.cfg.buffer_capacity:
-            self._drop_packet(packet, "buffer", nid, observed=True)
+            self._drop_packet(packet, "buffer", observed=True)
             return
         buffer.append(packet)
         # a relay has one service event queued exactly while its buffer is
@@ -625,10 +619,10 @@ class Simulator:
 
         next_hop = packet.route[packet.hop_index + 1]
         if not self.adj[nid - 1, next_hop - 1]:
-            self._drop_packet(packet, "route_broken", nid, observed=True)
-            flow = self.flows[packet.flow_id]
-            if flow.route == packet.route:
-                flow.route = None
+            self._drop_packet(packet, "route_broken", observed=True)
+            # by value: a route recomputed to the same path is cleared too
+            if packet.flow.route == packet.route:
+                packet.flow.route = None
             return
         outcome = OUTCOME_OK
         if nid in self.malicious and self.rng.random() < self.cfg.tamper_prob:
@@ -640,8 +634,7 @@ class Simulator:
             else None
         packet.hop_index += 1
         self.nodes[nid].note_contact(next_hop, self.now)
-        self._push(self.now + self.cfg.hop_latency_ms, "_handle_arrive",
-                   next_hop, packet)
+        self._push(self.now + self.cfg.hop_latency_ms, "_handle_arrive", packet)
 
     # --- periodic machinery ----------------------------------------------
 
@@ -724,13 +717,12 @@ class Simulator:
             # __init__ is the one called
             getattr(self, kind)(*args)
 
-        for nid, buffer in self.buffers.items():
+        for buffer in self.buffers.values():
             for packet in buffer:
-                self.flow_counters[packet.flow_id]["in_buffer"] += 1
+                packet.flow.counters["in_buffer"] += 1
         for _, _, kind, args in self._queue:
             if kind == "_handle_arrive":
-                _, packet = args
-                self.flow_counters[packet.flow_id]["in_flight"] += 1
+                args[0].flow.counters["in_flight"] += 1
 
         # who accepted each certificate when; it was issued when its
         # issuer accepted it
@@ -750,7 +742,8 @@ class Simulator:
             cert_holders=cert_holders,
             ever_neighbors={k: set(v) for k, v in self.ever_neighbors.items()},
             isolated_final={nid: set(self.nodes[nid].isolated) for nid in self.ids},
-            flow_counters={fid: dict(c) for fid, c in self.flow_counters.items()},
+            flow_counters={fid: dict(flow.counters)
+                           for fid, flow in enumerate(self.flows)},
         )
 
 

@@ -172,11 +172,13 @@ def _run(tmp_path, lines):
     (_sweep, "values = 5, nan\nrepetitions = 1\n", None),
     (_run, "min_samples = -3\n", None),
     (_sweep, "variable = node_count\nvalues = 10.5\nrepetitions = 1\n", None),
+    (_replay, "50 monitor_obs 1 2 1\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
         "replay-truncated",
         "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
         "run-infinite-duration", "run-negative-window", "sweep-nan-value",
-        "run-negative-min-samples", "sweep-fractional-node-count"])
+        "run-negative-min-samples", "sweep-fractional-node-count",
+        "replay-time-goes-back"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:

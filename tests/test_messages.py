@@ -274,9 +274,9 @@ def test_reenrolling_a_node_changes_its_verdict(authority):
 def test_memos_stay_within_their_bounds(authority):
     secret = SIGNERS[2]
     bounds = {"_tags": messages.TAG_MEMO_SIZE,
-              "_frames": 1,
-              "_certs": messages.CERT_MEMO_SIZE,
-              "_verdicts": messages.CERT_MEMO_SIZE}
+              "open_frame": 1,
+              "open_certificate": messages.CERT_MEMO_SIZE,
+              "check_certificate": messages.CERT_MEMO_SIZE}
     memos = {name: getattr(authority, name) for name in bounds}
     assert {name: memo.cache_info().maxsize for name, memo in memos.items()} \
         == bounds
@@ -299,11 +299,11 @@ def test_memos_stay_within_their_bounds(authority):
             peak[name] = max(peak[name], memo.cache_info().currsize)
     assert all(0 < peak[name] <= bound for name, bound in bounds.items()), peak
     # the oldest entries went first: the last frame is a hit, the first a miss
-    before = memos["_frames"].cache_info()
+    before = memos["open_frame"].cache_info()
     authority.open_frame(frames[-1])
-    assert memos["_frames"].cache_info().hits == before.hits + 1
+    assert memos["open_frame"].cache_info().hits == before.hits + 1
     authority.open_frame(frames[0])
-    assert memos["_frames"].cache_info().misses == before.misses + 1
+    assert memos["open_frame"].cache_info().misses == before.misses + 1
 
 
 CERT_RESPONDENTS = (1, 2, 3)
@@ -361,7 +361,7 @@ def test_malformed_frame_logs_bad_frame_each_time_it_is_received(authority):
     assert node.receive(bytearray(truncated), 4) == []
     assert [(kind, detail) for _, kind, _, _, detail in node.log] \
         == [("bad_frame", "LengthMismatch")] * 4
-    assert authority._frames.cache_info().currsize == 0
+    assert authority.open_frame.cache_info().currsize == 0
 
 
 # --- certificates ---------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from trustwatch import harness, messages, trust_math
-from trustwatch.node_protocol import _ALARM_PAYLOAD, Node
+from trustwatch.node_protocol import _ALARM_PAYLOAD, OUTCOME_DROP, Node
 from trustwatch.sim import (
     PRESETS,
     _KEY_BYTES,
@@ -561,9 +561,46 @@ def test_a_sent_packet_is_charged_for_its_cache_keys_within_budget(
     src = sim.nodes[sim.flows[0].src]
     for i in range(5):
         src._cache_put((i,), b"")
-    sim._handle_flow(0)
-    assert sim.flow_counters[0]["sent"] == 1
+    sim._handle_flow(sim.flows[0])
+    assert sim.flows[0].counters["sent"] == 1
     assert sim.ledger["pb_bytes"] == _KEY_BYTES * charged
+
+
+@pytest.mark.parametrize("before, route_after", [
+    ("unchanged", None),
+    ("rerouted", [1, 4, 3]),
+    ("equal-copy", None),
+], ids=["unchanged", "rerouted", "equal-copy"])
+def test_a_broken_hop_drops_the_packet_and_clears_only_the_route_it_was_on(
+        before, route_after):
+    """Flow 1 -> 3 runs over relay 2 with one packet in 2's buffer. Node 3
+    moves out of 2's range but stays in range of 4, so serving 2 drops
+    the packet. The flow's route is cleared when it equals the packet's,
+    even as another list, and kept when the flow was re-routed."""
+    sim = Simulator(small_config(node_count=4, flow_count=1,
+                                 mobility_model="static"),
+                    positions=[(0.0, 0.0), (20.0, 0.0), (40.0, 0.0),
+                               (20.0, 20.0)])
+    flow = sim.flows[0]
+    flow.src, flow.dst = 1, 3
+    sim._handle_flow(flow)
+    assert flow.route == [1, 2, 3]
+    [packet] = [args[0] for _, _, kind, args in sim._queue
+                if kind == "_handle_arrive"]
+    sim._handle_arrive(packet)
+    assert list(sim.buffers[2]) == [packet]
+    sim.pos[2] = (40.0, 30.0)
+    sim._recompute_topology()
+    assert sim.neighbors_of(3) == [4]
+    if before == "rerouted":
+        flow.route = sim.compute_route(1, 3, set())
+    elif before == "equal-copy":
+        flow.route = list(flow.route)
+    sim._handle_service(2)
+    assert flow.counters["dropped_route_broken"] == 1
+    assert flow.route == route_after
+    # the source watched the packet and saw relay 2 drop it
+    assert sim.log[-1] == (sim.now, "monitor_obs", 1, 2, OUTCOME_DROP)
 
 
 def test_feedback_dropper_drops_exactly_what_group_trust_calls_adverse():
@@ -615,9 +652,10 @@ def test_certificate_record_is_who_accepted_each_key_when():
 
 def test_every_protocol_constant_reaches_the_nodes():
     """Every benchmark workload runs the default protocol constants. This
-    run sets each of the 18 off its default, and each one changes its log
+    run sets 18 of the 20 off their defaults, and each one changes its log
     or its ledger, so the pin fails if a constant stops reaching the
-    nodes or its unit changes."""
+    nodes or its unit changes. ``node_count`` and ``hop_latency_ms`` keep
+    their defaults."""
     res = run_scenario(ScenarioConfig(
         rng_seed=5, duration_s=300.0, tx_range_m=20.0, tick_interval_ms=50,
         adv_drops_feedback=True, adv_false_accuser=True, drop_prob=0.5,

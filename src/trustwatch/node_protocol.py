@@ -267,8 +267,8 @@ class Node:
             self.last_contact_ms[other] = now
 
     def set_neighbors(self, neighbors: list[int]) -> None:
-        """Keep ``neighbors`` itself, not a copy. The caller keeps it sorted
-        and current; the node only reads it."""
+        """Keep ``neighbors`` itself, not a copy; the node only reads it.
+        The caller keeps it current, sorted, symmetric and irreflexive."""
         self.neighbors = neighbors
 
     # --- monitor ----------------------------------------------------------
@@ -345,7 +345,7 @@ class Node:
         # one collection round at a time; concurrent accusers share it
         if self.collect is not None:
             return out
-        expected = set(self.neighbors) - {self.node_id}
+        expected = set(self.neighbors)
         if not expected:
             return out
         nonce = self._nonce()
@@ -422,7 +422,7 @@ class Node:
                   f"gt={cert.group_trust_raw} n={len(cert.responses)}")
         # broadcast to all neighbors; a random F-fraction of them become
         # cache carriers (initial flood), the rest only process it
-        targets = sorted(self.neighbors)
+        targets = self.neighbors
         n_seed = math.ceil(self.params.f_fraction * len(targets))
         seeds = set(self.rng.sample(targets, min(n_seed, len(targets))))
         out = []

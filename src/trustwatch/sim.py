@@ -82,7 +82,9 @@ class ScenarioConfig(ProtocolParams):
         problems = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if f.type == "int" and type(value) is not int:  # a bool fails too
+                problems.append(f"{f.name} must be an integer")
+            elif isinstance(value, float) and not math.isfinite(value):
                 problems.append(f"{f.name} must be finite")
         for name in ("duration_s", "area_width_m", "area_height_m",
                      "tx_range_m", "flow_rate_pps", "exchange_interval_s",
@@ -311,8 +313,9 @@ class Simulator:
         self.malicious = _checked_malicious(malicious, config)
 
         self.log: list[tuple] = []  # every node appends to it too
-        # sorted, index i <-> node id i+1; each node reads its own list
-        self.neighbor_lists: list[list[int]] = [[] for _ in range(n)]
+        # the unit-disk graph, index i <-> node id i+1: lists kept sorted,
+        # symmetric and irreflexive; each node reads its own list
+        self.adj: list[list[int]] = [[] for _ in range(n)]
         self.nodes: dict[int, Node] = {}
         for nid in self.ids:
             secret = self.rng.randbytes(32)
@@ -320,7 +323,7 @@ class Simulator:
             cls = AdversaryNode if nid in self.malicious else Node
             node = cls(nid, secret, self.authority, config, seed=config.rng_seed)
             node.log = self.log
-            node.set_neighbors(self.neighbor_lists[nid - 1])
+            node.set_neighbors(self.adj[nid - 1])
             self.nodes[nid] = node
 
         # mobility state (index i <-> node id i+1)
@@ -338,7 +341,6 @@ class Simulator:
             for i in range(n):
                 self._new_waypoint(i)
 
-        self.adj = np.zeros((n, n), dtype=bool)
         self._pair_i, self._pair_j = np.triu_indices(n, 1)
         self._pair_within = np.zeros(len(self._pair_i), dtype=bool)
         self.ever_neighbors: dict[int, set[int]] = {nid: set() for nid in self.ids}
@@ -423,8 +425,9 @@ class Simulator:
         Squared distances are computed once over the upper triangle of
         node pairs, and only pairs whose in-range bit flipped touch the
         neighbor lists and ``ever_neighbors``. The lists are updated in
-        place, so each node sees the change. ``self.adj`` is replaced by
-        a new array exactly when the edge set changes."""
+        place, so each node sees the change. Exactly when the edge set
+        changes, ``self.adj`` becomes a new outer list holding the same lists,
+        so a caller that kept the old one sees the change by identity."""
         # dx * dx + dy * dy computed in place: the same roundings as a
         # dense (diff ** 2).sum(axis=2), so the edge set is bit-identical
         x, y = self.pos[:, 0].copy(), self.pos[:, 1].copy()
@@ -440,10 +443,7 @@ class Simulator:
         self._pair_within = within
         if len(flips):
             fi, fj, added = self._pair_i[flips], self._pair_j[flips], within[flips]
-            adj = self.adj.copy()
-            adj[fi, fj] = adj[fj, fi] = added
-            self.adj = adj
-            lists = self.neighbor_lists
+            lists = self.adj = list(self.adj)
             for i, j, edge in zip(fi.tolist(), fj.tolist(), added.tolist()):
                 a, b = i + 1, j + 1
                 if edge:
@@ -456,7 +456,7 @@ class Simulator:
                     lists[j].remove(a)
 
     def neighbors_of(self, nid: int) -> list[int]:
-        return self.neighbor_lists[nid - 1]
+        return self.adj[nid - 1]
 
     # --- routing ----------------------------------------------------------
 
@@ -470,7 +470,7 @@ class Simulator:
         for x in blocked:
             dist[x] = -2
         dist[root] = 0
-        lists = self.neighbor_lists
+        lists = self.adj
         frontier = [root]
         d = 0
         while frontier:
@@ -501,13 +501,13 @@ class Simulator:
         cur = src
         while cur != dst:
             want = dist[cur] - 1
-            cur = next(v for v in self.neighbor_lists[cur - 1] if dist[v] == want)
+            cur = next(v for v in self.adj[cur - 1] if dist[v] == want)
             route.append(cur)
         return route
 
     def _route_valid(self, route: list[int], isolated: set[int]) -> bool:
         for a, b in zip(route, route[1:]):
-            if not self.adj[a - 1, b - 1]:
+            if b not in self.adj[a - 1]:
                 return False
         return not any(x in isolated for x in route[1:-1])
 
@@ -543,10 +543,10 @@ class Simulator:
 
     def _hop_distance(self, src: int, dst: int) -> int | None:
         """Hops on a shortest path from src to dst, or None if there is
-        none. Isolation does not block control frames."""
-        if self.adj[src - 1, dst - 1]:  # most unicasts go to a neighbor
+        none or dst is no node. Isolation does not block control frames."""
+        if dst in self.adj[src - 1]:  # most unicasts go to a neighbor
             return 1
-        hops = self._bfs(src, dst)[dst]
+        hops = self._bfs(src, dst)[dst] if dst in self.nodes else -1
         return hops if hops >= 0 else None
 
     def _observe(self, watcher: int, subject: int, outcome: int) -> None:
@@ -618,7 +618,7 @@ class Simulator:
             self._push(self.free_at[nid], "_handle_service", nid)
 
         next_hop = packet.route[packet.hop_index + 1]
-        if not self.adj[nid - 1, next_hop - 1]:
+        if next_hop not in self.adj[nid - 1]:
             self._drop_packet(packet, "route_broken", observed=True)
             # by value: a route recomputed to the same path is cleared too
             if packet.flow.route == packet.route:
@@ -642,7 +642,7 @@ class Simulator:
         for nid in self.ids:
             self.nodes[nid].replenish_tick()
         # each neighbor pair once, a < b, in ascending (a, b) order
-        for a, lst in enumerate(self.neighbor_lists, 1):
+        for a, lst in enumerate(self.adj, 1):
             for b in lst[bisect.bisect_right(lst, a):]:
                 self._exchange_pair(a, b)
         self._repeat(ms(self.cfg.exchange_interval_s), "_handle_exchange")
@@ -699,7 +699,7 @@ class Simulator:
         node = self.nodes[nid]
         victims = [v for v in self.neighbors_of(nid) if v not in self.malicious]
         if victims:
-            victim = self.rng.choice(sorted(victims))
+            victim = self.rng.choice(victims)
             self.log.append((self.now, "false_accusation", nid, victim, ""))
             self._emit(nid, node.initiate_challenge(victim, self.now))
             self._emit(nid, node.raise_global_alarm(victim, self.now))

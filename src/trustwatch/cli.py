@@ -109,7 +109,7 @@ def cmd_replay(args) -> int:
                                  f"earlier line"])
         records.append(record)
     shim = SimResult(config=cfg, log=records, ledger={}, malicious=set(),
-                     cert_issued={}, cert_holders={}, ever_neighbors={},
+                     cert_holders={}, ever_neighbors={},
                      isolated_final={}, flow_counters={})
     alarms = harness.loc_baseline(shim)
     print(f"LOC alarms: {len(alarms)}")

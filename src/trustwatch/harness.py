@@ -12,7 +12,14 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from .node_protocol import MonitorWindow, ms
-from .sim import ConfigInvalid, PRESETS, ScenarioConfig, SimResult, run_scenario
+from .sim import (
+    FIELD_TYPES,
+    PRESETS,
+    ConfigInvalid,
+    ScenarioConfig,
+    SimResult,
+    run_scenario,
+)
 
 
 class IncompleteLog(ValueError):
@@ -189,13 +196,12 @@ def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
         base = PRESETS[preset]()
     else:
         raise ConfigInvalid([f"unknown preset {preset!r}"])
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = [k for k in mapping if k not in known]
+    annotations = {f.name: f.type for f in fields(ScenarioConfig)}
+    unknown = [k for k in mapping if k not in annotations]
     if unknown:
         raise ConfigInvalid([f"unknown key {k!r}" for k in sorted(unknown)])
-    updates = {}
-    for key, value in mapping.items():
-        updates[key] = _coerce(key, value, type(getattr(base, key)))
+    updates = {key: _coerce(key, value, FIELD_TYPES[annotations[key]][0])
+               for key, value in mapping.items()}
     cfg = replace(base, **updates)
     cfg.validate()
     return cfg

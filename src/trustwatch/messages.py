@@ -117,20 +117,19 @@ class Authority:
     """Simulated certifying authority and public directory.
 
     Holds each enrolled node's secret, used to check authenticity tags
-    (the simulator's stand-in for public-key verification), and four
+    (the simulator's stand-in for public-key verification), and three
     ``lru_cache`` memos over it that every node of one simulation shares:
 
     - ``verify_node`` results, keyed on (node id, message bytes, tag);
     - ``open_frame`` results, keyed on the frame bytes;
-    - ``open_certificate`` results, keyed on the certificate bytes;
-    - ``check_certificate`` verdicts, keyed on (certificate bytes,
-      threshold).
+    - ``open_certificate`` results, the certificate and its verdict,
+      keyed on (certificate bytes, threshold).
 
     Each is a pure function of its key and the enrolled secrets, so each
     distinct input is decoded or checked once while it stays in its memo.
     The frame memo holds only the last frame: a broadcast is one event,
     so the next recipient of the same event is the one that opens a frame
-    again. ``enroll`` clears all four; a call that raises is never cached.
+    again. ``enroll`` clears all three; a call that raises is never cached.
     """
 
     def __init__(self):
@@ -142,19 +141,13 @@ class Authority:
             lambda node_id, body, tag_: self.verify_tag(node_id, body, tag_))
         # (header, payload, tag_ok); raises what decode_rep_mess raises
         self.open_frame = lru_cache(1)(self._open_frame)
-        # the certificate; raises what decode_certificate raises
-        self.open_certificate = lru_cache(CERT_MEMO_SIZE)(
-            lambda data: decode_certificate(data))
-        # its Verdict at threshold; raises what decode_certificate raises
-        self.check_certificate = lru_cache(CERT_MEMO_SIZE)(
-            lambda data, threshold: verify_group_certificate(
-                self.open_certificate(data), threshold, self))
+        # (certificate, Verdict at threshold); raises what decode_certificate raises
+        self.open_certificate = lru_cache(CERT_MEMO_SIZE)(self._open_certificate)
 
     def enroll(self, node_id: int, secret: bytes) -> None:
         """Register a node's secret, replacing any earlier one."""
         self._secrets[node_id] = secret
-        for memo in (self._tags, self.open_frame, self.open_certificate,
-                     self.check_certificate):
+        for memo in (self._tags, self.open_frame, self.open_certificate):
             memo.cache_clear()
 
     def verify_tag(self, node_id: int, message_bytes: bytes, tag_: bytes) -> bool:
@@ -174,6 +167,11 @@ class Authority:
         header, payload, frame_tag = decode_rep_mess(data)
         return header, payload, \
             self.verify_tag(header.sender, data[:-TAG_LEN], frame_tag)
+
+    def _open_certificate(self, data: bytes, threshold: float
+                          ) -> tuple[GroupTrustCertificate, Verdict]:
+        cert = decode_certificate(data)
+        return cert, verify_group_certificate(cert, threshold, self)
 
 
 def encode_rep_mess(header: ReputationHeader, payload: bytes,
@@ -239,6 +237,14 @@ class CertResponse:
     maliciousness_raw: int
     weight_raw: int
     tag: bytes
+
+    def observation(self, trust: float = 1.0) -> trust_math.MaliciousnessObservation:
+        """This response, its respondent held at ``trust``."""
+        return trust_math.MaliciousnessObservation(
+            respondent=self.respondent,
+            maliciousness=from_fixed(self.maliciousness_raw),
+            weight=from_fixed(self.weight_raw),
+            respondent_trust=trust)
 
 
 @dataclass(frozen=True)
@@ -307,14 +313,7 @@ def decode_certificate(data: bytes) -> GroupTrustCertificate:
 
 def _recompute_group_trust_raw(responses: tuple[CertResponse, ...],
                                threshold: float) -> int:
-    obs = [
-        trust_math.MaliciousnessObservation(
-            respondent=r.respondent,
-            maliciousness=from_fixed(r.maliciousness_raw),
-            weight=from_fixed(r.weight_raw),
-        )
-        for r in responses
-    ]
+    obs = [r.observation() for r in responses]
     if not obs:
         return FIXED_POINT_SCALE
     return to_fixed(trust_math.group_trust(obs, threshold).group_trust)

@@ -444,24 +444,22 @@ class Node:
 
     def handle_certificate(self, cert_bytes: bytes, now: int, *, cache: bool,
                            from_node: int) -> list[Outgoing]:
+        threshold = self.params.maliciousness_threshold
         try:
-            cert = self.authority.open_certificate(cert_bytes)
+            cert, verdict = self.authority.open_certificate(cert_bytes, threshold)
         except messages.MessageError as exc:
             self._log(now, "cert_malformed", 0, type(exc).__name__)
             return []
         if cert.subject == self.node_id:
             return []
         key = cert.key()
-        threshold = self.params.maliciousness_threshold
         if key in self.processed_certs:
             # the table already reflects a certificate with this key, but
             # these bytes need not be the ones checked then
-            if cache and key not in self.cache and self.authority.check_certificate(
-                    cert_bytes, threshold) is Verdict.VALID:
+            if cache and key not in self.cache and verdict is Verdict.VALID:
                 self._cache_put(key, cert_bytes)
             return []
 
-        verdict = self.authority.check_certificate(cert_bytes, threshold)
         if verdict is Verdict.VALID and \
                 (cert.subject, cert.challenge_nonce) in self.responded and \
                 self.node_id not in cert.respondent_ids():
@@ -480,15 +478,7 @@ class Node:
         fingerprint = frozenset(r.respondent for r in effective)
         k = 2 if fingerprint in entry.accepted_respondent_sets else 1
         a3 = trust_math.alpha3(k)
-        obs = [
-            trust_math.MaliciousnessObservation(
-                respondent=r.respondent,
-                maliciousness=from_fixed(r.maliciousness_raw),
-                weight=from_fixed(r.weight_raw),
-                respondent_trust=self._trust_in(r.respondent),
-            )
-            for r in effective
-        ]
+        obs = [r.observation(self._trust_in(r.respondent)) for r in effective]
         a1, adverse = 0.0, False
         if obs:
             group = trust_math.group_trust(obs, threshold)

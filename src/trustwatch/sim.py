@@ -40,6 +40,14 @@ from .node_protocol import (
 )
 
 
+# the types a value of a config field may have, by the field's annotation:
+# a float field also takes an int, and no numeric field takes a bool
+FIELD_TYPES = {"int": (int,), "float": (float, int), "bool": (bool,),
+               "str": (str,)}
+_TYPE_WORDS = {"int": "an integer", "float": "a number", "bool": "a bool",
+               "str": "a string"}
+
+
 class ConfigInvalid(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = problems
@@ -80,45 +88,49 @@ class ScenarioConfig(ProtocolParams):
 
     def validate(self) -> None:
         problems = []
+        ok = set()  # the fields that hold a finite value of their type
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:  # a bool fails too
-                problems.append(f"{f.name} must be an integer")
+            if type(value) not in FIELD_TYPES[f.type]:
+                problems.append(f"{f.name} must be {_TYPE_WORDS[f.type]}")
             elif isinstance(value, float) and not math.isfinite(value):
                 problems.append(f"{f.name} must be finite")
-        for name in ("duration_s", "area_width_m", "area_height_m",
-                     "tx_range_m", "flow_rate_pps", "exchange_interval_s",
-                     "node_count", "buffer_capacity", "topology_step_ms",
-                     "service_slot_ms", "hop_latency_ms", "tick_interval_ms",
-                     "min_voters", "cache_capacity"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive")
-        if self.flow_count < 0 or self.malicious_count < 0:
-            problems.append("flow_count and malicious_count must be >= 0")
-        if self.malicious_count >= self.node_count:
-            problems.append("malicious_count must be < node_count")
-        if self.mobility_model not in ("random_waypoint", "static"):
+            else:
+                ok.add(f.name)
+
+        def check(names, bad, problem):
+            for name in names:
+                if name in ok and bad(getattr(self, name)):
+                    problems.append(f"{name} must be {problem}")
+
+        check(("duration_s", "area_width_m", "area_height_m", "tx_range_m",
+               "flow_rate_pps", "exchange_interval_s", "node_count",
+               "buffer_capacity", "topology_step_ms", "service_slot_ms",
+               "hop_latency_ms", "tick_interval_ms", "min_voters",
+               "cache_capacity"), lambda v: v <= 0, "positive")
+        check(("flow_count", "malicious_count", "delta", "pause_s",
+               "piggyback_budget", "min_samples", "monitor_window_s",
+               "collect_window_s", "vote_window_s", "interaction_window_s",
+               "overhead_window_s", "alarm_cooldown_s", "challenge_cooldown_s",
+               "challenge_ack_deadline_s"), lambda v: v < 0, ">= 0")
+        check(("f_fraction", "monitor_sample_prob", "monitor_threshold",
+               "maliciousness_threshold", "alpha", "alpha2", "drop_prob",
+               "tamper_prob"), lambda v: not 0.0 <= v <= 1.0, "in [0, 1]")
+        # the period is truncated to whole ms, and a 0 ms period would
+        # repeat the exchange at one instant forever
+        check(("exchange_interval_s",), lambda v: 0 < v and ms(v) == 0,
+              "at least 0.001 (1 ms)")
+        if "mobility_model" in ok and \
+                self.mobility_model not in ("random_waypoint", "static"):
             problems.append(f"unknown mobility_model {self.mobility_model!r}")
-        if self.mobility_model == "random_waypoint" and self.max_speed_mps <= 0:
+        if {"malicious_count", "node_count"} <= ok and \
+                self.malicious_count >= self.node_count:
+            problems.append("malicious_count must be < node_count")
+        if {"mobility_model", "max_speed_mps"} <= ok and \
+                self.mobility_model == "random_waypoint" and self.max_speed_mps <= 0:
             problems.append("max_speed_mps must be > 0 for random_waypoint")
-        for name in ("f_fraction", "monitor_sample_prob", "monitor_threshold",
-                     "maliciousness_threshold", "alpha", "alpha2",
-                     "drop_prob", "tamper_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                problems.append(f"{name} must be in [0, 1]")
-        for name in ("delta", "pause_s", "piggyback_budget", "min_samples",
-                     "monitor_window_s",
-                     "collect_window_s", "vote_window_s", "interaction_window_s",
-                     "overhead_window_s", "alarm_cooldown_s",
-                     "challenge_cooldown_s", "challenge_ack_deadline_s"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be >= 0")
-        if 0 < self.exchange_interval_s and ms(self.exchange_interval_s) == 0:
-            # the period is truncated to whole ms, and a 0 ms period would
-            # repeat the exchange at one instant forever
-            problems.append("exchange_interval_s must be at least 0.001 (1 ms)")
-        if self.flow_count > 0 and self.node_count < 2:
+        if {"flow_count", "node_count"} <= ok and \
+                self.flow_count > 0 and self.node_count < 2:
             problems.append("node_count must be >= 2 when flow_count > 0: "
                             "a flow needs two distinct endpoints")
         if problems:
@@ -208,8 +220,8 @@ class SimResult:
     log: list[tuple]
     ledger: Counter
     malicious: set[int]
-    cert_issued: dict
-    cert_holders: dict
+    # who accepted each certificate when, by certificate key
+    cert_holders: dict[tuple, dict[int, int]]
     ever_neighbors: dict
     isolated_final: dict
     flow_counters: dict
@@ -217,6 +229,12 @@ class SimResult:
     @property
     def honest(self) -> set[int]:
         return set(range(1, self.config.node_count + 1)) - self.malicious
+
+    @property
+    def cert_issued(self) -> dict[tuple, int]:
+        """When each certificate was issued: when its issuer accepted it."""
+        return {key: holders[key[1]] for key, holders in self.cert_holders.items()
+                if key[1] in holders}
 
     def render_log(self) -> str:
         lines = [
@@ -412,7 +430,7 @@ class Simulator:
                 self._new_waypoint(i)
             else:
                 self.pos[i] = self.waypoint[i]
-                self.pause_until[i] = self.now + self.cfg.pause_s * 1000
+                self.pause_until[i] = self.now + ms(self.cfg.pause_s)
 
     def _handle_topology(self) -> None:
         self._step_mobility(self.cfg.topology_step_ms / 1000.0)
@@ -682,7 +700,7 @@ class Simulator:
 
     def _cert_bytes_valid(self, data: bytes) -> bool:
         try:
-            verdict = self.authority.check_certificate(
+            _, verdict = self.authority.open_certificate(
                 data, self.cfg.maliciousness_threshold)
         except messages.MessageError:
             return False
@@ -724,21 +742,16 @@ class Simulator:
             if kind == "_handle_arrive":
                 args[0].flow.counters["in_flight"] += 1
 
-        # who accepted each certificate when; it was issued when its
-        # issuer accepted it
         cert_holders: dict[tuple, dict[int, int]] = {}
         for nid, node in self.nodes.items():
             for key, accepted_ms in node.processed_certs.items():
                 cert_holders.setdefault(key, {})[nid] = accepted_ms
-        cert_issued = {key: holders[key[1]] for key, holders in cert_holders.items()
-                       if key[1] in holders}
 
         return SimResult(
             config=self.cfg,
             log=self.log,
             ledger=self.ledger,
             malicious=set(self.malicious),
-            cert_issued=cert_issued,
             cert_holders=cert_holders,
             ever_neighbors={k: set(v) for k, v in self.ever_neighbors.items()},
             isolated_final={nid: set(self.nodes[nid].isolated) for nid in self.ids},

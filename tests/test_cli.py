@@ -168,6 +168,7 @@ def _run(tmp_path, lines):
     (_run, "exchange_interval_s = 0.0004\n", None),
     (_run, "node_count = 1\nflow_count = 1\n", None),
     (_run, "duration_s = inf\n", None),
+    (_run, "exchange_interval_s = inf\n", None),
     (_run, "vote_window_s = -5\n", None),
     (_sweep, "values = 5, nan\nrepetitions = 1\n", None),
     (_run, "min_samples = -3\n", None),
@@ -176,7 +177,8 @@ def _run(tmp_path, lines):
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
         "replay-truncated",
         "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
-        "run-infinite-duration", "run-negative-window", "sweep-nan-value",
+        "run-infinite-duration", "run-infinite-exchange-interval",
+        "run-negative-window", "sweep-nan-value",
         "run-negative-min-samples", "sweep-fractional-node-count",
         "replay-time-goes-back"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,

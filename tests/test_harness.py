@@ -26,7 +26,7 @@ from trustwatch.sim import ConfigInvalid, ScenarioConfig, SimResult, run_scenari
 def shim_result(log, config=None, node_count=4, malicious=frozenset()):
     return SimResult(config=config or ScenarioConfig(node_count=node_count),
                      log=log, ledger={}, malicious=set(malicious),
-                     cert_issued={}, cert_holders={}, ever_neighbors={},
+                     cert_holders={}, ever_neighbors={},
                      isolated_final={}, flow_counters={})
 
 

@@ -275,8 +275,7 @@ def test_memos_stay_within_their_bounds(authority):
     secret = SIGNERS[2]
     bounds = {"_tags": messages.TAG_MEMO_SIZE,
               "open_frame": 1,
-              "open_certificate": messages.CERT_MEMO_SIZE,
-              "check_certificate": messages.CERT_MEMO_SIZE}
+              "open_certificate": messages.CERT_MEMO_SIZE}
     memos = {name: getattr(authority, name) for name in bounds}
     assert {name: memo.cache_info().maxsize for name, memo in memos.items()} \
         == bounds
@@ -293,8 +292,9 @@ def test_memos_stay_within_their_bounds(authority):
             subject=1, issuer=2, issued_at_ms=i, challenge_nonce=i,
             group_trust_raw=FIXED_POINT_SCALE, responses=(), certificate_tag=b""))
         cert = body + tag(body, secret)
-        assert authority.open_certificate(cert).issued_at_ms == i
-        assert authority.check_certificate(cert, THRESHOLD) is Verdict.VALID
+        opened, verdict = authority.open_certificate(cert, THRESHOLD)
+        assert opened.issued_at_ms == i
+        assert verdict is Verdict.VALID
         for name, memo in memos.items():
             peak[name] = max(peak[name], memo.cache_info().currsize)
     assert all(0 < peak[name] <= bound for name, bound in bounds.items()), peak
@@ -336,19 +336,20 @@ def test_memoized_certificate_verdict_equals_a_fresh_check(copies, rekeyed):
                     cert = decode_certificate(data)
                 except messages.MessageError as exc:
                     with pytest.raises(type(exc)):
-                        memoized.check_certificate(data, threshold)
+                        memoized.open_certificate(data, threshold)
                     continue
-                assert memoized.check_certificate(data, threshold) is \
-                    verify_group_certificate(cert, threshold, enrolled(rekey))
-    assert memoized.check_certificate(VALID_CERT, THRESHOLD) \
+                assert memoized.open_certificate(data, threshold) == (
+                    cert,
+                    verify_group_certificate(cert, threshold, enrolled(rekey)))
+    assert memoized.open_certificate(VALID_CERT, THRESHOLD)[1] \
         is Verdict.TAMPERED_RESPONSE
 
 
 def test_certificate_verdict_depends_on_the_threshold():
     auth = enrolled()
-    assert auth.check_certificate(VALID_CERT, THRESHOLD) is Verdict.VALID
-    assert auth.check_certificate(VALID_CERT, 0.3) is Verdict.WRONG_GROUP_TRUST
-    assert auth.check_certificate(VALID_CERT, THRESHOLD) is Verdict.VALID
+    assert auth.open_certificate(VALID_CERT, THRESHOLD)[1] is Verdict.VALID
+    assert auth.open_certificate(VALID_CERT, 0.3)[1] is Verdict.WRONG_GROUP_TRUST
+    assert auth.open_certificate(VALID_CERT, THRESHOLD)[1] is Verdict.VALID
 
 
 def test_malformed_frame_logs_bad_frame_each_time_it_is_received(authority):

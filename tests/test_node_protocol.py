@@ -483,7 +483,7 @@ def test_a_round_closed_by_its_deadline_certifies_the_responses_it_has():
     assert accused.collect is None
     assert ("cert_issued", 4, "gt=10000 n=2") in logged(accused)
     (data,) = accused.cache.values()
-    assert accused.authority.check_certificate(data, THRESHOLD) \
+    assert accused.authority.open_certificate(data, THRESHOLD)[1] \
         is messages.Verdict.VALID
     cert = messages.decode_certificate(data)
     assert cert.issued_at_ms == state.deadline_ms

@@ -79,6 +79,22 @@ def test_an_int_field_must_hold_an_int(name, value):
         ScenarioConfig(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("name, value, problem", [
+    ("node_count", None, "an integer"),
+    ("duration_s", "60", "a number"),
+    ("alpha", None, "a number"),
+    ("alpha", True, "a number"),
+    ("adv_false_accuser", "no", "a bool"),  # ran as True
+    ("mobility_model", 3, "a string"),
+])
+def test_a_field_must_hold_a_value_of_its_type(name, value, problem):
+    """A wrong type is reported as that field's one problem, and the range
+    and cross-field rules skip the field rather than raise on it."""
+    with pytest.raises(ConfigInvalid) as err:
+        ScenarioConfig(**{name: value}).validate()
+    assert err.value.problems == [f"{name} must be {problem}"]
+
+
 @pytest.mark.parametrize("positions, problems", [
     ([(0.0, 0.0), (1.0, 1.0)], ["shape (3, 2)"]),
     ([(0.0, 0.0), (1.0,), (2.0, 2.0)], ["3 (x, y) pairs"]),

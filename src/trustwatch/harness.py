@@ -8,6 +8,7 @@ import io
 import math
 import statistics
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -311,29 +312,31 @@ def sweep_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
         writer.writerow({"run_id": row.run_id, "seed": row.seed,
                          "independent_var": spec.variable,
                          "value": f"{row.value:g}", **row.metrics.to_row()})
+    stats = {stat_name: {name: aggregate(rows, name, fn) for name in CSV_FIELDS}
+             for stat_name, fn in (("mean", statistics.mean),
+                                   ("stddev", statistics.pstdev))}
     for value in spec.values:
-        group = [r.metrics for r in rows if r.value == value]
-        for stat_name, fn in (("mean", statistics.mean),
-                              ("stddev", lambda xs: statistics.pstdev(xs))):
+        for stat_name, by_metric in stats.items():
             agg = {"run_id": f"{stat_name}@{value:g}", "seed": "",
                    "independent_var": spec.variable, "value": f"{value:g}"}
-            for name in CSV_FIELDS:
-                vals = [getattr(m, name) for m in group]
-                vals = [v for v in vals if v is not None]
-                agg[name] = f"{fn(vals):.6f}" if vals else ""
+            for name, per_value in by_metric.items():
+                x = per_value.get(value)
+                agg[name] = "" if x is None else f"{x:.6f}"
             writer.writerow(agg)
     return buf.getvalue()
 
 
-def aggregate(rows: list[SweepRow], metric: str) -> dict[float, float]:
-    """Mean of one metric per sweep value, skipping undefined entries."""
+def aggregate(rows: list[SweepRow], metric: str,
+              stat: Callable[[list[float]], float] = statistics.mean
+              ) -> dict[float, float]:
+    """``stat`` of one metric per sweep value, in ascending value order,
+    skipping undefined entries and values with none defined."""
     out = {}
-    values = sorted({r.value for r in rows})
-    for value in values:
+    for value in sorted({r.value for r in rows}):
         vals = [getattr(r.metrics, metric) for r in rows if r.value == value]
         vals = [v for v in vals if v is not None]
         if vals:
-            out[value] = statistics.mean(vals)
+            out[value] = stat(vals)
     return out
 
 

@@ -191,7 +191,6 @@ class CollectState:
 
 @dataclass
 class AlarmState:
-    subject: int
     nonce: int
     deadline_ms: int
     votes: dict[int, tuple[bool, bytes]] = field(default_factory=dict)
@@ -456,7 +455,7 @@ class Node:
         if key in self.processed_certs:
             # the table already reflects a certificate with this key, but
             # these bytes need not be the ones checked then
-            if cache and key not in self.cache and verdict is Verdict.VALID:
+            if cache and verdict is Verdict.VALID:
                 self._cache_put(key, cert_bytes)
             return []
 
@@ -499,8 +498,7 @@ class Node:
         if adverse:
             # pass adverse certificates on to the subject's other known
             # neighbors (the respondents we can still reach directly)
-            targets = (set(self.neighbors) & set(cert.respondent_ids())) \
-                - {from_node, cert.subject, self.node_id}
+            targets = (set(self.neighbors) & set(cert.respondent_ids())) - {from_node}
             for neighbor in sorted(targets):
                 out.append(self._send(neighbor, RepMessType.REP_BROADCAST,
                                       cert.subject, 0, b"\x01" + cert_bytes, now))
@@ -554,14 +552,12 @@ class Node:
             return []
         self.alarmed.add(subject)
         nonce = self._nonce()
-        state = AlarmState(subject=subject, nonce=nonce,
-                           deadline_ms=now + ms(self.params.vote_window_s))
+        state = AlarmState(nonce=nonce, deadline_ms=now + ms(self.params.vote_window_s))
         own_tag = messages.tag(
             vote_sign_bytes(subject, self.node_id, self.node_id, nonce, True),
             self.secret)
         state.votes[self.node_id] = (True, own_tag)
         self.alarms[subject] = state
-        self.last_alarm_seen_ms[subject] = now
         self._log(now, "alarm_raised", subject, "")
         return self._start_flood(0, subject, nonce,
                                  _ALARM_PAYLOAD.pack(0, self.node_id, nonce), now)
@@ -649,20 +645,20 @@ class Node:
             state.votes.setdefault(voter, (vote, vtag))
         return []
 
-    def _tally_alarm(self, state: AlarmState, now: int) -> list[Outgoing]:
+    def _tally_alarm(self, subject: int, state: AlarmState, now: int) -> list[Outgoing]:
         votes = state.votes
         yes = sum(1 for v, _ in votes.values() if v)
         total = len(votes)
-        self._log(now, "alarm_tally", state.subject, f"yes={yes} total={total}")
+        self._log(now, "alarm_tally", subject, f"yes={yes} total={total}")
         if not self.params.quorum(yes, total):
-            self._log(now, "alarm_expired", state.subject, "")
+            self._log(now, "alarm_expired", subject, "")
             return []
-        self.isolated.add(state.subject)
-        self._log(now, "isolated", state.subject, f"yes={yes} total={total}")
+        self.isolated.add(subject)
+        self._log(now, "isolated", subject, f"yes={yes} total={total}")
         payload = _VERDICT_HEAD.pack(1, self.node_id, state.nonce, total) + \
             b"".join(_VOTE_RECORD.pack(voter, v, vtag)
                      for voter, (v, vtag) in sorted(votes.items()))
-        return self._start_flood(1, state.subject, state.nonce, payload, now)
+        return self._start_flood(1, subject, state.nonce, payload, now)
 
     def _on_verdict(self, subject: int, raiser: int, alarm_nonce: int,
                     payload: bytes, now: int) -> list[Outgoing]:
@@ -719,7 +715,7 @@ class Node:
             for subject in list(self.alarms):
                 state = self.alarms[subject]
                 if now >= state.deadline_ms:
-                    out.extend(self._tally_alarm(state, now))
+                    out.extend(self._tally_alarm(subject, state, now))
                     del self.alarms[subject]
         # retry subjects the table condemns but the network has not yet
         # isolated (e.g. another raiser's alarm fell short of quorum and

@@ -22,6 +22,7 @@ import bisect
 import heapq
 import math
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
 
@@ -93,7 +94,8 @@ class ScenarioConfig(ProtocolParams):
             value = getattr(self, f.name)
             if type(value) not in FIELD_TYPES[f.type]:
                 problems.append(f"{f.name} must be {_TYPE_WORDS[f.type]}")
-            elif isinstance(value, float) and not math.isfinite(value):
+            elif f.type == "float" and not abs(value) <= sys.float_info.max:
+                # inf, nan, or an int too large to convert to a float
                 problems.append(f"{f.name} must be finite")
             else:
                 ok.add(f.name)
@@ -120,12 +122,20 @@ class ScenarioConfig(ProtocolParams):
         # repeat the exchange at one instant forever
         check(("exchange_interval_s",), lambda v: 0 < v and ms(v) == 0,
               "at least 0.001 (1 ms)")
+        # a flow sends every 1000 / flow_rate_pps ms, which must be a number
+        check(("flow_rate_pps",), lambda v: 0 < v and 1000 / v == math.inf,
+              "large enough for a finite period of 1000 / flow_rate_pps ms")
         if "mobility_model" in ok and \
                 self.mobility_model not in ("random_waypoint", "static"):
             problems.append(f"unknown mobility_model {self.mobility_model!r}")
         if {"malicious_count", "node_count"} <= ok and \
                 self.malicious_count >= self.node_count:
             problems.append("malicious_count must be < node_count")
+        # a node's distance to its waypoint, at most the diagonal, must be
+        # a number, or the node could never move toward the waypoint
+        if {"area_width_m", "area_height_m"} <= ok and \
+                math.hypot(self.area_width_m, self.area_height_m) == math.inf:
+            problems.append("the area's diagonal must be finite")
         if {"mobility_model", "max_speed_mps"} <= ok and \
                 self.mobility_model == "random_waypoint" and self.max_speed_mps <= 0:
             problems.append("max_speed_mps must be > 0 for random_waypoint")
@@ -210,7 +220,7 @@ class DataPacket:
     flow: Flow
     route: list[int]  # its flow's route when it was sent
     hop_index: int  # the packet is at route[hop_index]
-    watched_by: int | None = None
+    watched: bool = False  # by its last hop, route[hop_index - 1]
     tampered: bool = False
 
 
@@ -331,9 +341,9 @@ class Simulator:
         self.malicious = _checked_malicious(malicious, config)
 
         self.log: list[tuple] = []  # every node appends to it too
-        # the unit-disk graph, index i <-> node id i+1: lists kept sorted,
-        # symmetric and irreflexive; each node reads its own list
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+        # the unit-disk graph, indexed by node id (slot 0 holds no node):
+        # lists kept sorted, symmetric and irreflexive; each node reads its own
+        self.adj: list[list[int]] = [[] for _ in range(n + 1)]
         self.nodes: dict[int, Node] = {}
         for nid in self.ids:
             secret = self.rng.randbytes(32)
@@ -341,7 +351,7 @@ class Simulator:
             cls = AdversaryNode if nid in self.malicious else Node
             node = cls(nid, secret, self.authority, config, seed=config.rng_seed)
             node.log = self.log
-            node.set_neighbors(self.adj[nid - 1])
+            node.set_neighbors(self.adj[nid])
             self.nodes[nid] = node
 
         # mobility state (index i <-> node id i+1)
@@ -453,28 +463,29 @@ class Simulator:
         dx -= x.take(self._pair_j)
         dy = y.take(self._pair_i)
         dy -= y.take(self._pair_j)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        within = dx <= self.cfg.tx_range_m ** 2
+        with np.errstate(over="ignore"):  # inf: farther than any finite range
+            dx *= dx
+            dy *= dy
+            dx += dy
+        # squared once, as a float: a range whose square overflows to inf
+        # puts every pair in range
+        r = float(self.cfg.tx_range_m)
+        within = dx <= r * r
         flips = np.flatnonzero(within != self._pair_within)
         self._pair_within = within
         if len(flips):
             fi, fj, added = self._pair_i[flips], self._pair_j[flips], within[flips]
             lists = self.adj = list(self.adj)
             for i, j, edge in zip(fi.tolist(), fj.tolist(), added.tolist()):
-                a, b = i + 1, j + 1
+                a, b = i + 1, j + 1  # position row i is node id i + 1
                 if edge:
-                    bisect.insort(lists[i], b)
-                    bisect.insort(lists[j], a)
+                    bisect.insort(lists[a], b)
+                    bisect.insort(lists[b], a)
                     self.ever_neighbors[a].add(b)
                     self.ever_neighbors[b].add(a)
                 else:
-                    lists[i].remove(b)
-                    lists[j].remove(a)
-
-    def neighbors_of(self, nid: int) -> list[int]:
-        return self.adj[nid - 1]
+                    lists[a].remove(b)
+                    lists[b].remove(a)
 
     # --- routing ----------------------------------------------------------
 
@@ -495,7 +506,7 @@ class Simulator:
             d += 1
             nxt = []
             for u in frontier:
-                for v in lists[u - 1]:
+                for v in lists[u]:
                     if dist[v] == -1:
                         dist[v] = d
                         if v == target:
@@ -519,13 +530,13 @@ class Simulator:
         cur = src
         while cur != dst:
             want = dist[cur] - 1
-            cur = next(v for v in self.adj[cur - 1] if dist[v] == want)
+            cur = next(v for v in self.adj[cur] if dist[v] == want)
             route.append(cur)
         return route
 
     def _route_valid(self, route: list[int], isolated: set[int]) -> bool:
         for a, b in zip(route, route[1:]):
-            if b not in self.adj[a - 1]:
+            if b not in self.adj[a]:
                 return False
         return not any(x in isolated for x in route[1:-1])
 
@@ -535,7 +546,7 @@ class Simulator:
         for out in outgoings:
             name = f"msgs_{out.mess_type.name.lower()}"
             if out.dest is None:
-                recipients = tuple(self.neighbors_of(src))
+                recipients = tuple(self.adj[src])
                 if recipients:
                     self._push(self.now + self.cfg.hop_latency_ms, "_handle_ctrl",
                                recipients, out.data)
@@ -562,7 +573,7 @@ class Simulator:
     def _hop_distance(self, src: int, dst: int) -> int | None:
         """Hops on a shortest path from src to dst, or None if there is
         none or dst is no node. Isolation does not block control frames."""
-        if dst in self.adj[src - 1]:  # most unicasts go to a neighbor
+        if dst in self.adj[src]:  # most unicasts go to a neighbor
             return 1
         hops = self._bfs(src, dst)[dst] if dst in self.nodes else -1
         return hops if hops >= 0 else None
@@ -582,9 +593,8 @@ class Simulator:
         if flow.route is None:
             flow.counters["no_route"] += 1
         else:
-            watched = flow.src if self.rng.random() < self.cfg.monitor_sample_prob \
-                else None
-            packet = DataPacket(flow, flow.route, hop_index=1, watched_by=watched)
+            watched = self.rng.random() < self.cfg.monitor_sample_prob
+            packet = DataPacket(flow, flow.route, hop_index=1, watched=watched)
             flow.counters["sent"] += 1
             self.ledger["pb_bytes"] += _KEY_BYTES * min(len(src_node.cache),
                                                         self.cfg.piggyback_budget)
@@ -594,9 +604,9 @@ class Simulator:
 
     def _drop_packet(self, packet: DataPacket, reason: str, observed: bool) -> None:
         packet.flow.counters[f"dropped_{reason}"] += 1
-        if observed and packet.watched_by is not None:
-            self._observe(packet.watched_by, packet.route[packet.hop_index],
-                          OUTCOME_DROP)
+        if observed and packet.watched:
+            i = packet.hop_index
+            self._observe(packet.route[i - 1], packet.route[i], OUTCOME_DROP)
 
     def _handle_arrive(self, packet: DataPacket) -> None:
         nid = packet.route[packet.hop_index]
@@ -636,7 +646,7 @@ class Simulator:
             self._push(self.free_at[nid], "_handle_service", nid)
 
         next_hop = packet.route[packet.hop_index + 1]
-        if next_hop not in self.adj[nid - 1]:
+        if next_hop not in self.adj[nid]:
             self._drop_packet(packet, "route_broken", observed=True)
             # by value: a route recomputed to the same path is cleared too
             if packet.flow.route == packet.route:
@@ -646,10 +656,9 @@ class Simulator:
         if nid in self.malicious and self.rng.random() < self.cfg.tamper_prob:
             packet.tampered = True
             outcome = OUTCOME_MODIFIED
-        if packet.watched_by is not None:
-            self._observe(packet.watched_by, nid, outcome)
-        packet.watched_by = nid if self.rng.random() < self.cfg.monitor_sample_prob \
-            else None
+        if packet.watched:
+            self._observe(packet.route[packet.hop_index - 1], nid, outcome)
+        packet.watched = self.rng.random() < self.cfg.monitor_sample_prob
         packet.hop_index += 1
         self.nodes[nid].note_contact(next_hop, self.now)
         self._push(self.now + self.cfg.hop_latency_ms, "_handle_arrive", packet)
@@ -660,7 +669,7 @@ class Simulator:
         for nid in self.ids:
             self.nodes[nid].replenish_tick()
         # each neighbor pair once, a < b, in ascending (a, b) order
-        for a, lst in enumerate(self.adj, 1):
+        for a, lst in enumerate(self.adj):
             for b in lst[bisect.bisect_right(lst, a):]:
                 self._exchange_pair(a, b)
         self._repeat(ms(self.cfg.exchange_interval_s), "_handle_exchange")
@@ -715,7 +724,7 @@ class Simulator:
 
     def _handle_accuse(self, nid: int) -> None:
         node = self.nodes[nid]
-        victims = [v for v in self.neighbors_of(nid) if v not in self.malicious]
+        victims = [v for v in self.adj[nid] if v not in self.malicious]
         if victims:
             victim = self.rng.choice(victims)
             self.log.append((self.now, "false_accusation", nid, victim, ""))

@@ -174,13 +174,16 @@ def _run(tmp_path, lines):
     (_run, "min_samples = -3\n", None),
     (_sweep, "variable = node_count\nvalues = 10.5\nrepetitions = 1\n", None),
     (_replay, "50 monitor_obs 1 2 1\n", None),
+    (_run, "flow_rate_pps = 1e-320\n", None),
+    (_run, "area_width_m = 1.5e308\narea_height_m = 1.5e308\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
         "replay-truncated",
         "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
         "run-infinite-duration", "run-infinite-exchange-interval",
         "run-negative-window", "sweep-nan-value",
         "run-negative-min-samples", "sweep-fractional-node-count",
-        "replay-time-goes-back"])
+        "replay-time-goes-back", "run-flow-period-not-finite",
+        "run-area-diagonal-not-finite"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:

@@ -223,8 +223,9 @@ class SweepSpec:
     VARIABLES = ("node_count", "f_fraction", "malicious_fraction", "max_speed")
 
     def validate(self) -> None:
-        """Check the sweep and the config of each of its runs, so that a bad
-        value stops the sweep before its first run."""
+        """Check the sweep and the config of each of its values, so that a
+        bad value stops the sweep before its first run. A value's runs differ
+        only in their integer seed, so its first run stands for them all."""
         problems = []
         if self.variable not in self.VARIABLES:
             problems.append(f"variable must be one of {self.VARIABLES}")
@@ -239,12 +240,11 @@ class SweepSpec:
         if problems:
             raise ConfigInvalid(problems)
         for value in self.values:
-            for rep in range(self.repetitions):
-                try:
-                    self.config_for(value, rep).validate()
-                except ConfigInvalid as exc:
-                    raise ConfigInvalid([f"{self.variable} = {value:g}: {p}"
-                                         for p in exc.problems]) from None
+            try:
+                self.config_for(value, 0).validate()
+            except ConfigInvalid as exc:
+                raise ConfigInvalid([f"{self.variable} = {value:g}: {p}"
+                                     for p in exc.problems]) from None
 
     def config_for(self, value: float, rep: int) -> ScenarioConfig:
         cfg = self.base

@@ -175,10 +175,11 @@ class TableEntry:
 
 @dataclass
 class AccuserChallenge:
+    """An open challenge: it closes when the subject acks its nonce, or at
+    the first tick at or past the deadline, which condemns the subject."""
+
     nonce: int
     ack_deadline_ms: int
-    close_at_ms: int
-    acked: bool = False
 
 
 @dataclass
@@ -291,6 +292,8 @@ class Node:
     # --- challenge (accuser side) ----------------------------------------
 
     def initiate_challenge(self, subject: int, now: int) -> list[Outgoing]:
+        """Challenge the subject, unless a challenge to it is open or the
+        last one is within ``challenge_cooldown_s``."""
         if subject in self.challenges:
             return []
         last = self.last_challenge_ms.get(subject)
@@ -299,9 +302,7 @@ class Node:
         nonce = self._nonce()
         self.challenges[subject] = AccuserChallenge(
             nonce=nonce,
-            ack_deadline_ms=now + ms(self.params.challenge_ack_deadline_s),
-            close_at_ms=now + ms(self.params.challenge_ack_deadline_s)
-            + ms(self.params.collect_window_s) + 5_000)
+            ack_deadline_ms=now + ms(self.params.challenge_ack_deadline_s))
         self.last_challenge_ms[subject] = now
         self._log(now, "challenge", subject, "")
         return [self._send(subject, RepMessType.CHALLENGE, subject, 0,
@@ -360,7 +361,7 @@ class Node:
                           now: int) -> list[Outgoing]:
         state = self.challenges.get(header.sender)
         if state is not None and payload == _NONCE.pack(state.nonce):
-            state.acked = True
+            del self.challenges[header.sender]
         return []
 
     # --- respondent side --------------------------------------------------
@@ -679,7 +680,6 @@ class Node:
         if self.params.quorum(sum(votes.values()), len(votes)) and \
                 subject != self.node_id:
             self.isolated.add(subject)
-            self.pending_alarms.pop(subject, None)
             self._log(now, "isolated", subject, f"verdict from={raiser}")
         return out
 
@@ -692,13 +692,10 @@ class Node:
         # most ticks find every dict empty: skip copying their keys
         if self.challenges:
             for subject in list(self.challenges):
-                state = self.challenges[subject]
-                if not state.acked and now >= state.ack_deadline_ms:
+                if now >= self.challenges[subject].ack_deadline_ms:
                     # silence on challenge: treated as maximal maliciousness
                     self._log(now, "challenge_silent", subject, "")
                     self._condemn(subject, now)
-                    del self.challenges[subject]
-                elif now >= state.close_at_ms:
                     del self.challenges[subject]
         state = self.collect
         if state is not None and now >= state.deadline_ms:

@@ -97,6 +97,9 @@ class ScenarioConfig(ProtocolParams):
             elif f.type == "float" and not abs(value) <= sys.float_info.max:
                 # inf, nan, or an int too large to convert to a float
                 problems.append(f"{f.name} must be finite")
+            elif f.name.endswith("_s") and not abs(value) * 1000 <= sys.float_info.max:
+                # ms() takes every seconds field to whole milliseconds
+                problems.append(f"{f.name} must be finite in milliseconds")
             else:
                 ok.add(f.name)
 

@@ -176,6 +176,9 @@ def _run(tmp_path, lines):
     (_replay, "50 monitor_obs 1 2 1\n", None),
     (_run, "flow_rate_pps = 1e-320\n", None),
     (_run, "area_width_m = 1.5e308\narea_height_m = 1.5e308\n", None),
+    (_run, "duration_s = 1e306\n", None),
+    (_run, "exchange_interval_s = 1e306\n", None),
+    (_run, "overhead_window_s = 1e306\n", None),
 ], ids=["sweep-values", "sweep-repetitions", "replay-line", "replay-outcome",
         "replay-truncated",
         "seed-env", "run-exchange-under-1ms", "run-flow-on-one-node",
@@ -183,7 +186,8 @@ def _run(tmp_path, lines):
         "run-negative-window", "sweep-nan-value",
         "run-negative-min-samples", "sweep-fractional-node-count",
         "replay-time-goes-back", "run-flow-period-not-finite",
-        "run-area-diagonal-not-finite"])
+        "run-area-diagonal-not-finite", "run-duration-ms-not-finite",
+        "run-exchange-interval-ms-not-finite", "run-overhead-window-ms-not-finite"])
 def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
                                      text, env):
     if env is not None:

@@ -205,6 +205,24 @@ def test_challenge_silence_escalates():
     assert 3 in node.pending_alarms or 3 in node.alarms
 
 
+def test_an_acked_challenge_is_closed_at_once():
+    world = World(3)
+    node = world.nodes[1]
+    world.deliver(1, node.initiate_challenge(3, 1000), 1000)
+    assert node.challenges == {}
+    world.run_ticks(1500, 4_000)
+    assert node.table[3].rep_val == 1.0  # an answered challenge condemns no one
+
+
+def test_the_cooldown_alone_decides_when_an_answered_subject_is_challenged_again():
+    world = World(3, params=ProtocolParams(min_samples=3, challenge_cooldown_s=1.0))
+    node = world.nodes[1]
+    world.deliver(1, node.initiate_challenge(3, 1000), 1000)
+    assert node.initiate_challenge(3, 1999) == []
+    again = node.initiate_challenge(3, 2000)
+    assert [o.mess_type for o in again] == [RepMessType.CHALLENGE]
+
+
 def test_dropped_feedback_detected_by_omitted_respondent():
     world = World(5, node_cls_for={5: FeedbackDropper})
     for observer in (1, 2, 3, 4):

@@ -3,6 +3,7 @@ and determinism."""
 
 import hashlib
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -874,8 +875,9 @@ def _positive(low, high):
 
 @st.composite
 def small_scenarios(draw):
-    """A small, short scenario: the world's ranges, speeds, areas and rates
-    over their whole domain, the time and count fields bounded."""
+    """A small, short scenario: the world's ranges, speeds, areas, rates
+    and time windows over their whole domain, the duration and the count
+    fields bounded."""
     n = draw(st.integers(2, 12))
     probs = {name: draw(st.floats(0.0, 1.0)) for name in (
         "drop_prob", "tamper_prob", "f_fraction",
@@ -883,10 +885,16 @@ def small_scenarios(draw):
     flags = {name: draw(st.booleans()) for name in (
         "adv_drops_certificates", "adv_drops_feedback",
         "adv_tampers_certificates", "adv_false_accuser")}
-    windows = {name: draw(st.floats(0.0, 8.0)) for name in (
+    # the least value of each time field but the duration; at most one of
+    # them is drawn over its whole domain, so most drawn runs stay valid
+    lows = dict.fromkeys((
         "pause_s", "monitor_window_s", "collect_window_s", "vote_window_s",
         "interaction_window_s", "overhead_window_s", "alarm_cooldown_s",
-        "challenge_cooldown_s", "challenge_ack_deadline_s")}
+        "challenge_cooldown_s", "challenge_ack_deadline_s"), 0.0)
+    lows["exchange_interval_s"] = 0.001
+    wide = draw(st.sampled_from([None, *lows]))
+    windows = {name: draw(_positive(low, 8.0) if name == wide
+                          else st.floats(low, 8.0)) for name, low in lows.items()}
     return ScenarioConfig(
         node_count=n, malicious_count=draw(st.integers(0, n - 1)),
         flow_count=draw(st.integers(1, 4)),
@@ -899,7 +907,6 @@ def small_scenarios(draw):
         max_speed_mps=draw(_positive(0.1, 50.0)),
         flow_rate_pps=draw(_positive(0.5, 50.0)),
         delta=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        exchange_interval_s=draw(st.floats(0.001, 8.0)),
         buffer_capacity=draw(st.integers(1, 8)),
         topology_step_ms=draw(st.integers(1, 1000)),
         service_slot_ms=draw(st.integers(1, 100)),
@@ -915,7 +922,7 @@ def small_scenarios(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_scenarios())
-# a run that isolates nodes within its 20 s, and three that crashed
+# a run that isolates nodes within its 20 s, and four that crashed
 @example(ScenarioConfig(
     node_count=10, malicious_count=2, flow_count=4, duration_s=20.0,
     area_width_m=60.0, area_height_m=60.0, flow_rate_pps=10.0, min_samples=3,
@@ -923,6 +930,7 @@ def small_scenarios(draw):
 @example(ScenarioConfig(node_count=8, duration_s=3.0, tx_range_m=1e200))
 @example(ScenarioConfig(node_count=8, duration_s=3.0, flow_rate_pps=1e-320))
 @example(ScenarioConfig(node_count=8, duration_s=3.0, area_width_m=10**400))
+@example(ScenarioConfig(node_count=8, duration_s=3.0, pause_s=1e306))
 def test_a_valid_small_scenario_runs_and_keeps_its_invariants(cfg):
     """Packet conservation is left out: the strict xfail above pins it."""
     try:
@@ -941,20 +949,48 @@ def test_a_valid_small_scenario_runs_and_keeps_its_invariants(cfg):
 
 # --- documentation --------------------------------------------------------
 
-def test_readme_multi_hop_preset_matches_code():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    bullet = re.search(r"^- `multi-hop` — (.*?)(?=^- `|^$)", readme,
-                       re.M | re.S).group(1)
-    text = " ".join(bullet.split())
-    numbers = re.fullmatch(
+# each preset's README bullet as a pattern whose groups are its figures,
+# those figures as the preset's config gives them, and the rest of what
+# the bullet says
+_PRESET_BULLETS = {
+    "multi-hop": (
         r"(\d+) nodes, ([\d.]+) × ([\d.]+) m, ([\d.]+) m radio range, "
         r"random waypoint at up to ([\d.]+) m/s with ([\d.]+) s pauses, "
         r"(\d+) flows at ([\d.]+) pkt/s, (\d+) full packet droppers, "
-        r"([\d.]+) s\. The default experiment\.", text)
+        r"([\d.]+) s\. The default experiment\.",
+        lambda c: [c.node_count, c.area_width_m, c.area_height_m, c.tx_range_m,
+                   c.max_speed_mps, c.pause_s, c.flow_count, c.flow_rate_pps,
+                   c.malicious_count, c.duration_s],
+        lambda c: c.mobility_model == "random_waypoint" and c.drop_prob == 1.0),
+    "table1-literal": (
+        r"`multi-hop` with a ([\d.]+) m radio range, which makes the "
+        r"([\d.]+) × ([\d.]+) m graph complete \(every pair one hop apart\), "
+        r"for comparing against dense-network figures\.",
+        lambda c: [c.tx_range_m, c.area_width_m, c.area_height_m],
+        lambda c: math.hypot(c.area_width_m, c.area_height_m) <= c.tx_range_m
+        and replace(c, tx_range_m=ScenarioConfig().tx_range_m) == ScenarioConfig()),
+    "congestion": (
+        r"(\w+) adversaries, static topology, (\w+) ([\d.]+) pkt/s flows "
+        r"against a ([\d.]+) pkt/s relay service rate, so relays tail-drop "
+        r"heavily from congestion alone\. Used to check that "
+        r"honest-but-congested nodes never draw a global alarm\.",
+        # a relay serves one packet per service slot
+        lambda c: [c.malicious_count, c.flow_count, c.flow_rate_pps,
+                   1000 / c.service_slot_ms],
+        lambda c: c.mobility_model == "static"),
+}
+_NUMBER_WORDS = {"zero": 0, "three": 3}
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_readme_preset_matches_code(name):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = re.search(rf"^- `{re.escape(name)}` — (.*?)(?=^- `|^$)", readme,
+                       re.M | re.S).group(1)
+    text = " ".join(bullet.split())
+    pattern, figures, facts = _PRESET_BULLETS[name]
+    numbers = re.fullmatch(pattern, text)
     assert numbers, text
-    cfg = ScenarioConfig()
-    assert [float(x) for x in numbers.groups()] == [
-        cfg.node_count, cfg.area_width_m, cfg.area_height_m, cfg.tx_range_m,
-        cfg.max_speed_mps, cfg.pause_s, cfg.flow_count, cfg.flow_rate_pps,
-        cfg.malicious_count, cfg.duration_s]
-    assert cfg.mobility_model == "random_waypoint" and cfg.drop_prob == 1.0
+    cfg = PRESETS[name]()
+    assert [float(_NUMBER_WORDS.get(x, x)) for x in numbers.groups()] == figures(cfg)
+    assert facts(cfg)

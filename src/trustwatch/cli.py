@@ -13,10 +13,19 @@ from . import harness, messages
 from .sim import ConfigInvalid, ScenarioConfig, SimResult, run_scenario
 
 
+def _read_text(path: str) -> str:
+    """An input file as UTF-8 text, whatever the locale. A file that is
+    not UTF-8 is unreadable like a missing one: an ``OSError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+
+
 def _load_scenario(path: str | None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
-    return harness.parse_scenario_file(Path(path).read_text())
+    return harness.parse_scenario_file(_read_text(path))
 
 
 def _effective_seed(args_seed: int | None) -> int | None:
@@ -49,7 +58,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = harness.parse_sweep_file(Path(args.spec).read_text())
+    spec = harness.parse_sweep_file(_read_text(args.spec))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = harness.run_sweep(spec)
@@ -88,7 +97,7 @@ def cmd_codec_inspect(args) -> int:
 def cmd_replay(args) -> int:
     cfg = _load_scenario(args.scenario)
     records = []
-    for lineno, line in enumerate(Path(args.log).read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(args.log).splitlines(), 1):
         if not line.strip():
             continue
         try:

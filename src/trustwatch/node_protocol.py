@@ -128,13 +128,19 @@ class ReplayFilter:
 
     ``rotate`` drops the older generation and starts a new one once
     ``span`` ms have passed since the last rotation, so a key is kept for
-    at least ``span`` ms after it was added. Both of a node's filters
-    take ``ProtocolParams.flood_span_ms``, and no honest frame is that
-    old: a unicast crosses at most ``node_count - 1`` hops, and a relay
-    restamps a flood. So a copy arriving after its (sender, nonce) key was
-    dropped fails the timestamp check before this one. (Only the signer
-    can stamp a frame in the future, and a signer can as well sign a
-    fresh frame.)"""
+    at least ``span`` ms after it was added. ``Node.receive`` rotates both
+    of a node's filters as each frame arrives, before its replay check, so
+    a node that is never ticked keeps them bounded too. Both take
+    ``ProtocolParams.flood_span_ms``, and no honest frame is that old: a
+    unicast crosses at most ``node_count - 1`` hops, and a relay restamps
+    a flood. So a copy arriving after its (sender, nonce) key was dropped
+    fails the timestamp check before this one. (Only the signer can stamp
+    a frame in the future, and a signer can as well sign a fresh frame.)
+
+    When rotations happen changes no simulated run: no node there replays
+    a frame, and every copy of a flood lands within ``node_count - 1`` hop
+    latencies of a node's first copy, less than the span, so its key
+    still catches each copy however the rotations fall."""
 
     def __init__(self, span: int):
         self.span = span
@@ -171,15 +177,6 @@ class Outgoing:
 class TableEntry:
     rep_val: float = 1.0
     accepted_respondent_sets: set[frozenset[int]] = field(default_factory=set)
-
-
-@dataclass
-class AccuserChallenge:
-    """An open challenge: it closes when the subject acks its nonce, or at
-    the first tick at or past the deadline, which condemns the subject."""
-
-    nonce: int
-    ack_deadline_ms: int
 
 
 @dataclass
@@ -226,7 +223,9 @@ class Node:
         self.monitor = defaultdict(partial(MonitorWindow, ms(params.monitor_window_s)))
         self.last_contact_ms: dict[int, int] = {}
 
-        self.challenges: dict[int, AccuserChallenge] = {}
+        # subject -> nonce of the open challenge to it, until the subject acks
+        # it or a tick finds its ack deadline past, which condemns the subject
+        self.challenges: dict[int, int] = {}
         self.last_challenge_ms: dict[int, int] = {}
         self.collect: CollectState | None = None  # the open collection round
         self.responded: set[tuple[int, int]] = set()
@@ -299,10 +298,7 @@ class Node:
         last = self.last_challenge_ms.get(subject)
         if last is not None and now - last < ms(self.params.challenge_cooldown_s):
             return []
-        nonce = self._nonce()
-        self.challenges[subject] = AccuserChallenge(
-            nonce=nonce,
-            ack_deadline_ms=now + ms(self.params.challenge_ack_deadline_s))
+        nonce = self.challenges[subject] = self._nonce()
         self.last_challenge_ms[subject] = now
         self._log(now, "challenge", subject, "")
         return [self._send(subject, RepMessType.CHALLENGE, subject, 0,
@@ -322,6 +318,8 @@ class Node:
         if now - header.timestamp_ms > self.seen_nonces.span:
             self._log(now, "stale_frame", header.sender, "")
             return []
+        self.seen_nonces.rotate(now)
+        self.flood_seen.rotate(now)
         replay_key = (header.sender, header.nonce)
         if replay_key in self.seen_nonces:
             self._log(now, "replayed_frame", header.sender, "")
@@ -359,8 +357,8 @@ class Node:
 
     def _on_challenge_ack(self, header: ReputationHeader, payload: bytes,
                           now: int) -> list[Outgoing]:
-        state = self.challenges.get(header.sender)
-        if state is not None and payload == _NONCE.pack(state.nonce):
+        nonce = self.challenges.get(header.sender)
+        if nonce is not None and payload == _NONCE.pack(nonce):
             del self.challenges[header.sender]
         return []
 
@@ -540,7 +538,8 @@ class Node:
 
         Many nodes typically learn of the same adverse certificate within
         one broadcast round; the jitter lets the first raiser's flood reach
-        the rest before their own raise fires, so one alarm (not one per
+        the rest before their own raise comes due, when the flood's
+        cooldown silences it at ``_may_alarm``, so one alarm (not one per
         recipient) goes network-wide.
         """
         if subject in self.pending_alarms or not self._may_alarm(subject, now):
@@ -583,8 +582,6 @@ class Node:
         if kind == 1:
             return self._on_verdict(subject, raiser, alarm_nonce, payload, now)
         self.last_alarm_seen_ms[subject] = now
-        # someone else beat this node's own pending raise to it
-        self.pending_alarms.pop(subject, None)
         # re-broadcast once, then vote if this node has an opinion
         out = [self._send(None, RepMessType.GLOBAL_ALARM, subject, 0, payload, now)]
         if subject == self.node_id or raiser == self.node_id:
@@ -686,13 +683,13 @@ class Node:
     # --- timers -----------------------------------------------------------
 
     def tick(self, now: int) -> list[Outgoing]:
-        self.seen_nonces.rotate(now)
-        self.flood_seen.rotate(now)
+        """Fire every deadline due at ``now``."""
         out: list[Outgoing] = []
         # most ticks find every dict empty: skip copying their keys
         if self.challenges:
+            ack = ms(self.params.challenge_ack_deadline_s)
             for subject in list(self.challenges):
-                if now >= self.challenges[subject].ack_deadline_ms:
+                if now >= self.last_challenge_ms[subject] + ack:
                     # silence on challenge: treated as maximal maliciousness
                     self._log(now, "challenge_silent", subject, "")
                     self._condemn(subject, now)

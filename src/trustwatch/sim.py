@@ -306,8 +306,11 @@ def _checked_malicious(malicious, config: ScenarioConfig) -> set[int]:
     """An explicit malicious set of node ids that leaves an honest node.
     Raises ``ConfigInvalid`` listing every problem: an id that is no node
     would count as an adversary that never acts."""
-    chosen, ids = set(malicious), range(1, config.node_count + 1)
-    problems = []
+    try:
+        chosen = set(malicious)
+    except TypeError:  # not iterable, or an unhashable member
+        raise ConfigInvalid(["malicious must be a collection of node ids"]) from None
+    ids, problems = range(1, config.node_count + 1), []
     strays = [x for x in chosen if type(x) is not int or x not in ids]
     if strays:
         problems.append(f"malicious ids {sorted(strays, key=repr)} are not "

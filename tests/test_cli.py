@@ -47,20 +47,26 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--scenario", "{missing}"],
-    ["replay", "--log", "{missing}"],
-    ["sweep", "--spec", "{missing}"],
-    ["run", "--scenario", "{scenario}", "--out", "{scenario}"],
-    ["sweep", "--spec", "{spec}", "--out", "{scenario}"],
+@pytest.mark.parametrize("argv,culprit", [
+    (["run", "--scenario", "{missing}"], "missing"),
+    (["replay", "--log", "{missing}"], "missing"),
+    (["sweep", "--spec", "{missing}"], "missing"),
+    (["run", "--scenario", "{scenario}", "--out", "{scenario}"], "scenario"),
+    (["sweep", "--spec", "{spec}", "--out", "{scenario}"], "scenario"),
+    (["run", "--scenario", "{not_utf8}"], "not_utf8"),
+    (["sweep", "--spec", "{not_utf8}"], "not_utf8"),
+    (["replay", "--log", "{not_utf8}"], "not_utf8"),
 ], ids=["run-scenario", "replay-log", "sweep-spec", "run-out-is-a-file",
-        "sweep-out-is-a-file"])
+        "sweep-out-is-a-file", "run-scenario-not-utf8", "sweep-spec-not-utf8",
+        "replay-log-not-utf8"])
 def test_unreadable_input_or_unwritable_output_is_an_error(
-        tmp_path, scenario_file, monkeypatch, capsys, argv):
+        tmp_path, scenario_file, monkeypatch, capsys, argv, culprit):
     spec = tmp_path / "sweep.txt"
     spec.write_text("variable = max_speed\nvalues = 5\nrepetitions = 1\n")
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"node_count = 10 # \xff\n")
     paths = {"missing": tmp_path / "missing.txt", "scenario": scenario_file,
-             "spec": spec}
+             "spec": spec, "not_utf8": not_utf8}
     argv = [arg.format(**paths) for arg in argv]
     # the error comes before any simulation
     monkeypatch.setattr("trustwatch.cli.run_scenario", None)
@@ -68,7 +74,7 @@ def test_unreadable_input_or_unwritable_output_is_an_error(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert str(paths["scenario" if "--out" in argv else "missing"]) in err
+    assert str(paths[culprit]) in err
 
 
 def test_sweep_writes_csv_and_plots(tmp_path, capsys):

@@ -400,13 +400,39 @@ def test_replay_just_before_a_rotation_still_rejected_after_it():
     accused = world.nodes[3]
     frame = world.nodes[1].initiate_challenge(3, window - 2)[0].data
     assert accused.receive(frame, window - 1)
-    accused.tick(window)
+    # the replay arriving at the span rotates the filter, then is rejected
+    assert accused.receive(frame, window) == []
     assert accused.seen_nonces.rotated_ms == window
-    assert accused.receive(frame, window + 1) == []
-    # the next rotation drops the key; the frame's timestamp still rejects it
-    accused.tick(2 * window)
-    assert len(accused.seen_nonces) == 0
+    assert logged(accused)[-1] == ("replayed_frame", 1, "")
+    # a fresh frame a span later rotates again and drops the key; the
+    # frame's timestamp still rejects it
+    fresh = world.nodes[2].initiate_challenge(3, 2 * window)[0].data
+    assert accused.receive(fresh, 2 * window)
+    assert accused.seen_nonces.rotated_ms == 2 * window
+    assert (1, messages.decode_rep_mess(frame)[0].nonce) not in accused.seen_nonces
     assert accused.receive(frame, 2 * window) == []
+    assert logged(accused)[-1] == ("stale_frame", 1, "")
+
+
+def test_a_node_that_is_never_ticked_drops_a_key_two_spans_after_adding_it():
+    params = ProtocolParams(min_samples=3, node_count=3, hop_latency_ms=250)
+    span = params.flood_span_ms
+    world = World(3, params=params)
+    node = world.nodes[3]
+
+    def ack_at(now):
+        """Receive a frame the node only files under its replay key."""
+        frame = world.nodes[1]._send(3, RepMessType.CHALLENGE_ACK, 1, 0,
+                                     b"", now).data
+        node.receive(frame, now)
+        return (1, messages.decode_rep_mess(frame)[0].nonce)
+
+    first = ack_at(span + 1)
+    ack_at(2 * span + 1)
+    assert first in node.seen_nonces  # it survives one rotation
+    ack_at(3 * span + 1)
+    assert first not in node.seen_nonces
+    assert len(node.seen_nonces) == 2
 
 
 # --- hostile input from enrolled senders ----------------------------------
@@ -538,7 +564,7 @@ def primed_node():
     node.receive(world.nodes[1].initiate_challenge(3, 1000)[0].data, 1000)
     node.initiate_challenge(5, 1000)
     node.raise_global_alarm(4, 1000)
-    return node, [node.collect.nonce, node.challenges[5].nonce,
+    return node, [node.collect.nonce, node.challenges[5],
                   node.alarms[4].nonce]
 
 
@@ -746,6 +772,24 @@ def test_alarm_suppressed_after_seeing_flood():
     world.deliver(1, flood, 1000)
     b.schedule_alarm(5, 1100)
     assert 5 not in b.pending_alarms
+
+
+def test_a_pending_raise_falls_silent_within_a_seen_alarms_cooldown():
+    world = World(5)
+    a, b = world.nodes[1], world.nodes[2]
+    b.schedule_alarm(5, 1000)
+    due = b.pending_alarms[5]
+    world.deliver(1, a.raise_global_alarm(5, 1000), 1000)
+    # seeing a's alarm leaves b's own raise queued ...
+    assert b.pending_alarms == {5: due}
+    # ... and when it comes due, the alarm cooldown silences it: no
+    # random draw, no record and no frame
+    rng_state, logged_before = b.rng.getstate(), len(b.log)
+    assert b.tick(due) == []
+    assert b.pending_alarms == {}
+    assert b.rng.getstate() == rng_state
+    assert b.log[logged_before:] == []
+    assert ("alarm_raised", 5, "") not in logged(b)
 
 
 def test_cooperative_node_votes_no():

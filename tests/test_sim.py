@@ -617,7 +617,9 @@ def test_explicit_malicious_set_overrides_sampling():
     (set(range(1, 13)), ["malicious must leave at least one honest node"]),
     ({0, *range(1, 13)}, ["malicious ids [0] are not node ids 1..12",
                           "malicious must leave at least one honest node"]),
-], ids=["phantom", "fraction", "everyone", "both"])
+    ([[1]], ["malicious must be a collection of node ids"]),
+    (5, ["malicious must be a collection of node ids"]),
+], ids=["phantom", "fraction", "everyone", "both", "unhashable", "not-a-set"])
 def test_explicit_malicious_set_must_name_nodes_and_leave_an_honest_one(
         malicious, problems):
     with pytest.raises(ConfigInvalid) as exc:
@@ -834,8 +836,8 @@ def test_replay_state_stays_flat_when_duration_doubles():
 def test_each_node_relays_each_flood_once():
     """A relay restamps an alarm flood, so only flood_seen stops a copy
     that comes back. Here copies come back to nodes that hold their
-    flood's key and every tick rotates the filters, yet every node sends
-    each flood once."""
+    flood's key and every receipt may rotate the filters, yet every node
+    sends each flood once."""
 
     class Counted(Simulator):
         def _emit(self, src, outgoings):

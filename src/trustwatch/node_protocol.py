@@ -683,10 +683,16 @@ class Node:
     # --- timers -----------------------------------------------------------
 
     def tick(self, now: int) -> list[Outgoing]:
-        """Fire every deadline due at ``now``."""
+        """Fire every deadline due at ``now``. A seen alarm's cooldown is one: when it
+        ends, forget that alarm and retry its subject if the table still condemns it.
+        That retries what a per-tick walk of the table did. Only isolation, ``alarmed``
+        (both permanent) or that cooldown refuses a raise. Trust enters the malicious
+        band only in ``handle_certificate`` and ``_condemn``, which both call
+        ``schedule_alarm``; ``replenish_tick`` only raises it. An ended entry acts as
+        absent in ``_may_alarm``. Retries keep table order: each draws from ``rng``."""
         out: list[Outgoing] = []
         # most ticks find every dict empty: skip copying their keys
-        if self.challenges:
+        if self.challenges or self.collect or self.pending_alarms or self.alarms:
             ack = ms(self.params.challenge_ack_deadline_s)
             for subject in list(self.challenges):
                 if now >= self.last_challenge_ms[subject] + ack:
@@ -694,30 +700,24 @@ class Node:
                     self._log(now, "challenge_silent", subject, "")
                     self._condemn(subject, now)
                     del self.challenges[subject]
-        state = self.collect
-        if state is not None and now >= state.deadline_ms:
-            if state.collected:
-                out.extend(self._aggregate(state, now))
-            else:
+            state = self.collect
+            if state is not None and now >= state.deadline_ms:
                 self.collect = None
-        if self.pending_alarms:
-            for subject, due in list(self.pending_alarms.items()):
-                if now >= due:
-                    del self.pending_alarms[subject]
-                    out.extend(self.raise_global_alarm(subject, now))
-        if self.alarms:
-            for subject in list(self.alarms):
-                state = self.alarms[subject]
-                if now >= state.deadline_ms:
-                    out.extend(self._tally_alarm(subject, state, now))
-                    del self.alarms[subject]
-        # retry subjects the table condemns but the network has not yet
-        # isolated (e.g. another raiser's alarm fell short of quorum and
-        # its cooldown has passed; this node raises at most once)
-        for subject, entry in self.table.items():
-            if entry.rep_val < trust_math.MALICIOUS_BELOW and \
-                    subject not in self.isolated:
-                self.schedule_alarm(subject, now)
+                if state.collected:
+                    out.extend(self._aggregate(state, now))
+            for subject in [s for s, due in self.pending_alarms.items() if now >= due]:
+                del self.pending_alarms[subject]
+                out.extend(self.raise_global_alarm(subject, now))
+            for subject in [s for s, a in self.alarms.items() if now >= a.deadline_ms]:
+                out.extend(self._tally_alarm(subject, self.alarms.pop(subject), now))
+        if self.last_alarm_seen_ms:
+            cutoff = now - ms(self.params.alarm_cooldown_s)
+            ended = [s for s, t in self.last_alarm_seen_ms.items() if t <= cutoff]
+            for subject in ended:
+                del self.last_alarm_seen_ms[subject]
+            for subject, entry in self.table.items() if ended else ():
+                if subject in ended and entry.rep_val < trust_math.MALICIOUS_BELOW:
+                    self.schedule_alarm(subject, now)
         return out
 
     def replenish_tick(self) -> None:

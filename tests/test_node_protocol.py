@@ -4,6 +4,7 @@ exchange-round delivery bound on static topologies."""
 
 import dataclasses
 import hashlib
+import random
 import struct
 
 import pytest
@@ -36,6 +37,8 @@ from trustwatch.node_protocol import (
     MonitorWindow,
     Node,
     ProtocolParams,
+    TableEntry,
+    ms,
     vote_sign_bytes,
 )
 from trustwatch.sim import ScenarioConfig
@@ -203,6 +206,18 @@ def test_challenge_silence_escalates():
     world.run_ticks(1500, 4_000)
     assert node.table[3].rep_val == 0.0
     assert 3 in node.pending_alarms or 3 in node.alarms
+
+
+def test_a_challenge_falls_silent_exactly_at_its_ack_deadline():
+    world = World(3)
+    node = world.nodes[1]
+    node.initiate_challenge(3, 1000)  # never delivered
+    deadline = 1000 + ms(node.params.challenge_ack_deadline_s)
+    node.tick(deadline - 1)
+    assert 3 in node.challenges
+    node.tick(deadline)
+    assert node.challenges == {}
+    assert logged(node)[-1] == ("challenge_silent", 3, "")
 
 
 def test_an_acked_challenge_is_closed_at_once():
@@ -390,6 +405,12 @@ def test_a_unicast_across_the_whole_network_is_fresh():
     frame = world.nodes[2].initiate_challenge(3, 1000)[0].data
     assert world.nodes[3].receive(frame, 1000 + cfg.flood_span_ms + 1) == []
     assert logged(world.nodes[3])[-1] == ("stale_frame", 2, "")
+
+
+def test_a_frame_exactly_a_flood_span_old_is_fresh():
+    world = World(3)
+    frame = world.nodes[1].initiate_challenge(3, 1000)[0].data
+    assert world.nodes[3].receive(frame, 1000 + world.params.flood_span_ms)
 
 
 def test_replay_just_before_a_rotation_still_rejected_after_it():
@@ -792,6 +813,57 @@ def test_a_pending_raise_falls_silent_within_a_seen_alarms_cooldown():
     assert ("alarm_raised", 5, "") not in logged(b)
 
 
+def test_a_raise_is_allowed_exactly_one_cooldown_after_a_seen_alarm():
+    world = World(5)
+    a, b = world.nodes[1], world.nodes[2]
+    world.deliver(1, a.raise_global_alarm(5, 1000), 1000)
+    ends = 1000 + ms(b.params.alarm_cooldown_s)
+    b.schedule_alarm(5, ends - 1)
+    assert 5 not in b.pending_alarms
+    b.schedule_alarm(5, ends)
+    assert 5 in b.pending_alarms
+
+
+def test_a_raise_silenced_by_a_failed_alarm_is_retried_when_its_cooldown_ends():
+    """b condemns 5, and a's alarm on 5 silences b's own raise, then fails
+    its quorum. b schedules 5 again at its first tick at or after the end
+    of that alarm's cooldown, not at the tick before, and forgets the
+    alarm."""
+    world = World(5)
+    a, b = world.nodes[1], world.nodes[2]
+    b._condemn(5, 1000)
+    world.deliver(1, a.raise_global_alarm(5, 1000), 1000)
+    ends = 1000 + ms(b.params.alarm_cooldown_s)
+    world.run_ticks(1500, ends - 500)
+    world.tick_all(ends - 1)
+    assert ("alarm_expired", 5, "") in logged(a)
+    assert 5 not in b.pending_alarms and 5 not in b.alarmed
+    assert b.last_alarm_seen_ms == {5: 1000}
+    world.tick_all(ends)
+    assert 5 in b.pending_alarms
+    assert b.last_alarm_seen_ms == {}
+    world.run_ticks(ends + 500, ends + b.params.alarm_jitter_ms)
+    assert ("alarm_raised", 5, "") in logged(b)
+
+
+def test_retries_at_one_tick_draw_their_holdoffs_in_table_order():
+    world = World(6)
+    b = world.nodes[2]
+    b._condemn(6, 1000)
+    b._condemn(5, 1000)
+    for raiser, subject in ((1, 5), (3, 6)):  # seen in the other order
+        world.deliver(raiser, world.nodes[raiser].raise_global_alarm(subject, 1000),
+                      1000)
+    ends = 1000 + ms(b.params.alarm_cooldown_s)
+    world.run_ticks(1500, ends - 500)
+    assert b.pending_alarms == {}
+    rng = random.Random()
+    rng.setstate(b.rng.getstate())
+    b.tick(ends)
+    assert list(b.pending_alarms.items()) == [
+        (subject, ends + rng.randint(0, b.params.alarm_jitter_ms)) for subject in (6, 5)]
+
+
 def test_cooperative_node_votes_no():
     world = World(5)
     voter = world.nodes[1]
@@ -803,6 +875,16 @@ def test_cooperative_node_votes_no():
 def test_no_interaction_means_abstain():
     world = World(5)
     assert world.nodes[1]._alarm_vote(5, 1000) is None
+
+
+def test_a_voter_may_vote_exactly_one_interaction_window_after_contact():
+    world = World(5)
+    voter = world.nodes[1]
+    voter.note_contact(5, 1000)
+    voter.table[5] = TableEntry()
+    closes = 1000 + ms(voter.params.interaction_window_s)
+    assert voter._alarm_vote(5, closes) is False
+    assert voter._alarm_vote(5, closes + 1) is None
 
 
 def test_a_late_vote_or_a_vote_for_another_alarm_is_not_counted():

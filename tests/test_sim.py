@@ -4,8 +4,11 @@ and determinism."""
 import hashlib
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustwatch import harness, messages, trust_math
-from trustwatch.node_protocol import _ALARM_PAYLOAD, OUTCOME_DROP, Node, TableEntry
+from trustwatch.node_protocol import (
+    _ALARM_PAYLOAD,
+    OUTCOME_DROP,
+    Node,
+    Outgoing,
+    TableEntry,
+    ms,
+)
 from trustwatch.sim import (
     PRESETS,
     _KEY_BYTES,
@@ -127,6 +137,15 @@ def test_positions_on_the_area_border_are_accepted():
     cfg = small_config(node_count=3, flow_count=0, mobility_model="static")
     sim = Simulator(cfg, positions=[(0.0, 0.0), (100.0, 100.0), (0.0, 100.0)])
     assert sim.pos.shape == (3, 2)
+
+
+def test_random_waypoint_at_speed_zero_is_a_config_error():
+    """No node could reach its next waypoint, so a run would never end:
+    only validate() runs here."""
+    cfg = ScenarioConfig(mobility_model="random_waypoint", max_speed_mps=0)
+    with pytest.raises(ConfigInvalid) as exc:
+        cfg.validate()
+    assert exc.value.problems == ["max_speed_mps must be > 0 for random_waypoint"]
 
 
 def test_config_malicious_count_bound():
@@ -521,6 +540,79 @@ def test_one_event_per_broadcast_runs_as_one_event_per_recipient():
     assert batched.flow_counters == single.flow_counters
 
 
+# Node.tick before a seen alarm's cooldown became the retry's deadline: it
+# walked the whole trust table on every tick.
+def reference_tick(self, now: int) -> list[Outgoing]:
+    """Fire every deadline due at ``now``."""
+    out: list[Outgoing] = []
+    # most ticks find every dict empty: skip copying their keys
+    if self.challenges:
+        ack = ms(self.params.challenge_ack_deadline_s)
+        for subject in list(self.challenges):
+            if now >= self.last_challenge_ms[subject] + ack:
+                # silence on challenge: treated as maximal maliciousness
+                self._log(now, "challenge_silent", subject, "")
+                self._condemn(subject, now)
+                del self.challenges[subject]
+    state = self.collect
+    if state is not None and now >= state.deadline_ms:
+        if state.collected:
+            out.extend(self._aggregate(state, now))
+        else:
+            self.collect = None
+    if self.pending_alarms:
+        for subject, due in list(self.pending_alarms.items()):
+            if now >= due:
+                del self.pending_alarms[subject]
+                out.extend(self.raise_global_alarm(subject, now))
+    if self.alarms:
+        for subject in list(self.alarms):
+            state = self.alarms[subject]
+            if now >= state.deadline_ms:
+                out.extend(self._tally_alarm(subject, state, now))
+                del self.alarms[subject]
+    # retry subjects the table condemns but the network has not yet
+    # isolated (e.g. another raiser's alarm fell short of quorum and
+    # its cooldown has passed; this node raises at most once)
+    for subject, entry in self.table.items():
+        if entry.rep_val < trust_math.MALICIOUS_BELOW and \
+                subject not in self.isolated:
+            self.schedule_alarm(subject, now)
+    return out
+
+
+def test_tick_retries_what_the_whole_table_walk_retried(monkeypatch):
+    """Whole runs log, charge and count alike under the old walk, and the
+    new tick retries in them."""
+    adversarial = replace(PRESETS["multi-hop"](), adv_tampers_certificates=True,
+                          adv_drops_feedback=True, adv_false_accuser=True,
+                          drop_prob=0.5, rng_seed=1000)
+    retries = 0
+    schedule_alarm = Node.schedule_alarm
+
+    def counted(node, subject, now):
+        nonlocal retries
+        queued = subject in node.pending_alarms
+        schedule_alarm(node, subject, now)
+        if not queued and subject in node.pending_alarms and \
+                sys._getframe(1).f_code.co_name == "tick":
+            retries += 1
+
+    monkeypatch.setattr(Node, "schedule_alarm", counted)
+    # the second cooldown is shorter than the raise jitter, so a queued
+    # raise can outlive the seen alarm that would have silenced it
+    for cfg in (replace(adversarial, duration_s=300.0),
+                replace(adversarial, duration_s=200.0, alarm_cooldown_s=5.0)):
+        new = Simulator(cfg).run()
+        with monkeypatch.context() as m:
+            m.setattr(Node, "tick", reference_tick)
+            old = Simulator(cfg).run()
+        assert new.render_log() == old.render_log()
+        assert new.ledger == old.ledger
+        assert new.flow_counters == old.flow_counters
+    assert retries > 0
+
+
 # --- accounting and end-to-end behavior ----------------------------------
 
 def test_packet_conservation_small_runs():
@@ -602,6 +694,26 @@ def test_seed_override_and_determinism():
     assert a.render_log() == b.render_log()
     assert a.render_log() != c.render_log()
     assert harness.compute_metrics(a).to_row() == harness.compute_metrics(b).to_row()
+
+
+def test_a_run_logs_alike_under_any_string_hash_seed():
+    """The order of a set or dict of strings changes with PYTHONHASHSEED;
+    none may reach the log."""
+    code = ("import hashlib\n"
+            "from trustwatch.sim import ScenarioConfig, Simulator\n"
+            "cfg = ScenarioConfig(node_count=12, flow_count=4, duration_s=150.0,"
+            " malicious_count=3, drop_prob=0.5, adv_false_accuser=True,"
+            " adv_drops_feedback=True, adv_tampers_certificates=True, rng_seed=5)\n"
+            "log = Simulator(cfg).run().render_log()\n"
+            "print(' isolated ' in log, hashlib.sha256(log.encode()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = [subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                           capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                           ).stdout for seed in ("0", "12345")]
+    assert outs[0].startswith("True ")
+    assert outs[0] == outs[1]
 
 
 def test_explicit_malicious_set_overrides_sampling():
